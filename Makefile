@@ -38,8 +38,12 @@ fmt-check:
 lint-docs:
 	$(GO) run ./cmd/lintdocs -r .
 
+# cmd/scenariobench is a nested module (the benchmark) that compiles
+# against the fleet entry points; testing it here surfaces a signature
+# drift before the benchmark runs.
 test:
 	$(GO) test ./...
+	cd cmd/scenariobench && $(GO) test ./...
 
 # The fleet layer runs engine replicas on real goroutines; race-check it
 # together with the engine it drives. The second leg re-runs the

@@ -325,7 +325,7 @@ func realMain() int {
 		defer pprof.StopCPUProfile()
 	}
 	code := 0
-	if err := run(o); err != nil {
+	if err := run(o, flag.Visit); err != nil {
 		fmt.Fprintln(os.Stderr, "tdpipe-sim:", err)
 		code = 1
 	}
@@ -553,7 +553,9 @@ func runDisagg(o options, node hw.Node, spec model.Spec, pool, reqs []workload.R
 	return nil
 }
 
-func run(o options) error {
+// run executes one simulation. visit enumerates the flags set on the
+// command line (flag.Visit), which decide the mode-compatibility checks.
+func run(o options, visit func(func(*flag.Flag))) error {
 	node, err := pickNode(o.node)
 	if err != nil {
 		return err
@@ -606,7 +608,7 @@ func run(o options) error {
 	// either mismatch rather than silently substitute defaults.
 	var fleetFlags, disaggFlags, linkFlags, frontFlags, scaleFlags []string
 	workersSet, breakerSet := false, false
-	flag.Visit(func(f *flag.Flag) {
+	visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "replicas", "policy":
 			fleetFlags = append(fleetFlags, "-"+f.Name)
@@ -642,7 +644,7 @@ func run(o options) error {
 		return fmt.Errorf("the policy stack needs the online fleet router: -replicas > 1 with open-loop -arrivals (or -disagg for the -autoscale-* flags)")
 	}
 	if (len(frontFlags) > 0 || len(scaleFlags) > 0) && fc.Enabled() {
-		return fmt.Errorf("fault injection and the policy stack use different routers; run them separately")
+		return fmt.Errorf("fault injection and the policy stack do not compose yet (crashes during drains and the two retry budgets have no defined semantics); run them separately")
 	}
 	if o.breakerFailures > 0 && o.slo.TTFT <= 0 && !o.disagg {
 		return fmt.Errorf("-breaker-failures classifies completions against the TTFT SLO: set -slo-ttft (with -disagg breakers are crash-fed instead)")

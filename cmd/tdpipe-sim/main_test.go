@@ -83,3 +83,24 @@ func TestReadmeFlagTableMatchesRegistration(t *testing.T) {
 		}
 	}
 }
+
+// Fault injection and the policy stack are both layers of the online
+// router, but their composition has no defined semantics yet, so the
+// CLI rejects the combination instead of running it.
+func TestFaultsWithPolicyStackRejected(t *testing.T) {
+	var o options
+	fs := flag.NewFlagSet("tdpipe-sim", flag.ContinueOnError)
+	registerFlags(fs, &o)
+	args := []string{
+		"-requests", "20", "-pool", "200", "-replicas", "2",
+		"-arrivals", "poisson", "-rate", "5",
+		"-autoscale-max", "2", "-mtbf", "50", "-fault-horizon", "100",
+	}
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	err := run(o, fs.Visit)
+	if err == nil || !strings.Contains(err.Error(), "do not compose yet") {
+		t.Fatalf("faults + autoscaler: err = %v, want the composition rejection", err)
+	}
+}

@@ -3,9 +3,9 @@
 // an exponential MTBF, per-replica straggler slowdowns, and KV-link
 // degradation/partition windows for disaggregated deployments. A plan
 // is computed entirely up front from a seed, so fault runs are
-// reproducible byte-for-byte, and an empty plan is inert — routers fall
-// back to the exact fault-free code path, preserving bit-identical
-// results.
+// reproducible byte-for-byte, and an empty plan is inert — routers
+// treat it as an absent fault layer, so results are byte-identical to
+// a fault-free run.
 package faults
 
 import (
@@ -268,7 +268,7 @@ func NewPlan(cfg Config, replicas int, downtime float64) (*Plan, error) {
 }
 
 // Active reports whether the plan injects anything — false for nil
-// plans, so routers can branch to the exact fault-free path.
+// plans, which routers treat as an absent fault layer.
 func (p *Plan) Active() bool {
 	if p == nil {
 		return false

@@ -28,9 +28,9 @@ import (
 // The split isolates the two phases' interference: prefill replicas
 // never stall arrivals behind long decode phases, so TTFT stays flat
 // under bursts, at the price of the modeled transfer and fewer
-// decode-side token slots. Like the online router, the co-simulation is
-// single-threaded, so results are deterministic for a fixed trace,
-// config and split.
+// decode-side token slots. Like the online router, results are
+// deterministic for a fixed trace, config and split, at any worker
+// count.
 
 // DisaggConfig sizes the two pools of a disaggregated deployment. Both
 // pools run the same engine configuration (core.Config); only the role
@@ -55,8 +55,8 @@ type DisaggConfig struct {
 	// close it, and routing skips breaker-open replicas — falling back
 	// to liveness alone when every live candidate is open, so a
 	// fully-tripped pool degrades instead of stalling. A nil stack —
-	// or one without these components — keeps the fleet static and
-	// takes the exact pre-policy code path, byte for byte.
+	// or one without these components — keeps the fleet static, and
+	// its output is byte-identical to a stackless run.
 	Stack *policy.Stack
 }
 
@@ -106,14 +106,6 @@ type DisaggResult struct {
 	Steps uint64
 }
 
-// recRef locates a request's finished record: the pool, replica index
-// and replica-local id that owns it.
-type recRef struct {
-	decode  bool
-	replica int
-	local   int
-}
-
 // handoffItem is one in-flight migration. recovery marks checkpoint
 // restores re-entering the decode pool after a crash (counted as
 // recoveries, not hand-offs).
@@ -124,72 +116,37 @@ type handoffItem struct {
 }
 
 // disaggRouter coordinates the two pools across the fabric: prefill
-// replicas form tier 0, decode replicas tier 1, and every router
-// intervention (arrival dispatch, transfer completion, crash, restore,
-// pending drain) executes on the control timeline.
+// replicas form tier 0 and fleet replicas 0..P-1, decode replicas tier
+// 1 and fleet replicas P..P+D-1. Every router intervention (arrival
+// dispatch, transfer completion, crash, restore, pending drain)
+// executes on the control timeline.
 type disaggRouter struct {
-	ctl     *sim.Engine
-	fab     *fabric
-	prefill []*core.Engine
-	decode  []*core.Engine
-	ppolicy Policy
-	dpolicy Policy
-	reqs    []workload.Request
-	// blockBytes is the KV footprint of one block across the model.
+	ledger
+	ctl *sim.Engine
+	fab *fabric
+	// p and d are the prefill and decode pools.
+	p, d       book
 	blockBytes float64
 	xferTime   func(bytes float64) float64
-
-	pOut     []Load
-	pEntries [][]loadEntry
-	pShards  []Shard
-
-	dOut     []Load
-	dEntries [][]loadEntry
-	dShards  []Shard
-
-	// loads is the per-pick snapshot buffer, sized for the larger pool.
-	loads []Load
-	// cand maps snapshot rows back to decode replica indices when the
-	// importability filter drops some replicas.
-	cand []int
 
 	items []handoffItem
 	// pending holds item indices whose transfer completed but which no
 	// decode replica can import yet, in completion order.
-	pending []int
-
-	final    []recRef
+	pending  []int
 	handoffs int
 	moved    float64
 	queued   int
 	err      error
 
-	// Fault-injection state, all nil/zero when plan is nil — the
-	// fault-free run takes the exact pre-fault code paths.
+	// plan is nil without fault injection.
 	plan *faults.Plan
-	// fin[origin] counts terminal finishes: +1 at any engine finish,
-	// -1 when a prefill "finish" was really a hand-off. Conservation
-	// demands exactly 1 (finished) xor a drop reason.
-	fin      []int
-	attempts []int
-	// droppedReason[origin] is non-empty once the request is abandoned.
-	droppedReason []string
 	// queuedPrefill holds origins waiting for a live prefill replica.
 	queuedPrefill []int
 	fstats        metrics.FaultStats
-
-	// pBreakers/dBreakers hold per-replica circuit breakers for the
-	// two pools when DisaggConfig.Stack carries a BreakerConfig; nil
-	// keeps routing on the exact pre-breaker code paths. Crashes feed
-	// OnFailure (one per aborted request, at least one per crash),
-	// finishes feed OnSuccess.
-	pBreakers []*policy.Breaker
-	dBreakers []*policy.Breaker
-	astats    metrics.AdmissionStats
+	astats        metrics.AdmissionStats
 
 	// dpool owns the decode pool's elastic lifecycle when
-	// DisaggConfig.Stack carries an autoscaler; nil keeps the pool
-	// static on the exact pre-policy code paths.
+	// DisaggConfig.Stack carries an autoscaler; nil keeps it static.
 	dpool *elasticPool
 }
 
@@ -202,7 +159,7 @@ type disaggRouter struct {
 // (all arrivals at t=0) are served the same way — every request routes
 // at t=0.
 func RunDisagg(cfg core.Config, dc DisaggConfig, reqs []workload.Request) (*DisaggResult, error) {
-	return disaggRun(cfg, dc, reqs, nil)
+	return RunDisaggFaults(cfg, dc, reqs, nil)
 }
 
 // RunDisaggFaults is RunDisagg under a fault plan: replica crashes hit
@@ -212,15 +169,13 @@ func RunDisagg(cfg core.Config, dc DisaggConfig, reqs []workload.Request) (*Disa
 // re-prefilled from scratch through the prefill pool otherwise.
 // Requests that exhaust the retry budget or fit nowhere when the run
 // drains are dropped with a reason and accounted in Report.Faults. An
-// inactive (or nil) plan takes the exact RunDisagg code path.
+// active plan must be drawn for exactly PrefillReplicas+DecodeReplicas
+// replicas (ErrPlanFleetMismatch otherwise); a nil or inactive plan
+// produces RunDisagg's output byte for byte.
 func RunDisaggFaults(cfg core.Config, dc DisaggConfig, reqs []workload.Request, plan *faults.Plan) (*DisaggResult, error) {
 	if !plan.Active() {
-		return disaggRun(cfg, dc, reqs, nil)
+		plan = nil
 	}
-	return disaggRun(cfg, dc, reqs, plan)
-}
-
-func disaggRun(cfg core.Config, dc DisaggConfig, reqs []workload.Request, plan *faults.Plan) (*DisaggResult, error) {
 	if err := dc.Validate(); err != nil {
 		return nil, err
 	}
@@ -232,96 +187,53 @@ func disaggRun(cfg core.Config, dc DisaggConfig, reqs []workload.Request, plan *
 	if err != nil {
 		return nil, err
 	}
-
 	if err := validateArrivals(reqs); err != nil {
 		return nil, err
 	}
-	total := dc.PrefillReplicas + dc.DecodeReplicas
+	np, total := dc.PrefillReplicas, dc.PrefillReplicas+dc.DecodeReplicas
+	if err := checkPlan(plan, total); err != nil {
+		return nil, err
+	}
 	// Prefill and decode replicas never share a shard engine: the
 	// prefill tier advances to each control horizon first (discovering
 	// hand-offs), and the decode tier follows only after their
 	// transfer completions are on the control timeline.
 	fab := newFabric(ResolveWorkers(dc.Workers, total))
-	fab.addTier(0, dc.PrefillReplicas)
+	fab.addTier(0, np)
 	fab.addTier(1, dc.DecodeReplicas)
-	engines := make([]*core.Engine, 0, total)
-	shutdownAll := func() {
-		for _, e := range engines {
-			e.Shutdown()
-		}
+	engines, err := startEngines(fab, total, func(i int) core.Config { return replicaConfig(cfg, plan, i) })
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < total; i++ {
-		e, err := core.NewEngine(fab.engineFor(i), replicaConfig(cfg, plan, i))
-		if err != nil {
-			shutdownAll()
-			return nil, fmt.Errorf("fleet: disagg replica %d: %w", i, err)
-		}
-		engines = append(engines, e)
-		if err := e.StartOnline(); err != nil {
-			shutdownAll()
-			return nil, fmt.Errorf("fleet: disagg replica %d: %w", i, err)
-		}
-	}
-
-	blockSize := cfg.BlockSize
-	if blockSize <= 0 {
-		blockSize = kvcache.DefaultBlockSize
+	var breakers *policy.BreakerConfig
+	if dc.Stack != nil {
+		breakers = dc.Stack.Breaker
 	}
 	ro := &disaggRouter{
+		ledger:     newLedger(reqs),
 		ctl:        fab.ctl,
 		fab:        fab,
-		prefill:    engines[:dc.PrefillReplicas],
-		decode:     engines[dc.PrefillReplicas:],
-		ppolicy:    ppolicy,
-		dpolicy:    dpolicy,
-		reqs:       reqs,
-		blockBytes: float64(blockSize) * cfg.Spec.KVBytesPerToken(),
+		p:          newBook(ppolicy, engines[:np], breakers),
+		d:          newBook(dpolicy, engines[np:], breakers),
+		blockBytes: kvBlockBytes(cfg),
 		xferTime:   costmodel.KVTransfer(cfg.Node),
-		pOut:       make([]Load, dc.PrefillReplicas),
-		pEntries:   make([][]loadEntry, dc.PrefillReplicas),
-		pShards:    make([]Shard, dc.PrefillReplicas),
-		dOut:       make([]Load, dc.DecodeReplicas),
-		dEntries:   make([][]loadEntry, dc.DecodeReplicas),
-		dShards:    make([]Shard, dc.DecodeReplicas),
-		loads:      make([]Load, max(dc.PrefillReplicas, dc.DecodeReplicas)),
-		cand:       make([]int, 0, total),
-		final:      make([]recRef, len(reqs)),
 		plan:       plan,
 	}
-	if plan != nil {
-		ro.fin = make([]int, len(reqs))
-		ro.attempts = make([]int, len(reqs))
-		ro.droppedReason = make([]string, len(reqs))
-	}
 	if dc.Stack != nil && dc.Stack.Autoscaler != nil {
-		coldStart := dc.Stack.Autoscaler.Config().ColdStart
-		if coldStart == 0 {
-			coldStart = faults.WeightReloadTime(cfg.Node, cfg.Spec, cfg.World)
-		}
-		ro.dpool = newElasticPool(dc.Stack.Autoscaler, dc.DecodeReplicas, coldStart)
+		ro.dpool = newElasticPool(cfg, dc.Stack.Autoscaler, dc.DecodeReplicas)
 	}
-	if dc.Stack != nil && dc.Stack.Breaker != nil {
-		ro.pBreakers = make([]*policy.Breaker, dc.PrefillReplicas)
-		for i := range ro.pBreakers {
-			ro.pBreakers[i] = policy.NewBreaker(*dc.Stack.Breaker)
-		}
-		ro.dBreakers = make([]*policy.Breaker, dc.DecodeReplicas)
-		for i := range ro.dBreakers {
-			ro.dBreakers[i] = policy.NewBreaker(*dc.Stack.Breaker)
-		}
-	}
-	for i := range ro.prefill {
+	for i, e := range ro.p.engines {
 		i := i
-		ro.prefill[i].SetOnFinish(func(local int) { ro.prefillFinished(i, local) })
+		e.SetOnFinish(func(local int) { ro.prefillFinished(i, local) })
 		// Hand-offs are discovered while a shard worker advances its
 		// epoch window: buffer them on the shard; the coordinator
 		// drains the buffers in canonical order at the barrier and
 		// feeds them to ro.handoff.
-		ro.prefill[i].SetHandoff(func(h core.Handoff) { fab.note(i, h) })
+		e.SetHandoff(func(h core.Handoff) { fab.note(i, h) })
 	}
-	for i := range ro.decode {
+	for i, e := range ro.d.engines {
 		i := i
-		ro.decode[i].SetOnFinish(func(local int) { ro.decodeFinished(i, local) })
+		e.SetOnFinish(func(local int) { ro.decodeFinished(i, local) })
 	}
 	fab.onNote = ro.handoff
 	fab.pendingWork = func() bool { return len(ro.pending) > 0 }
@@ -345,94 +257,62 @@ func disaggRun(cfg core.Config, dc DisaggConfig, reqs []workload.Request, plan *
 	fab.start()
 	defer fab.stopWorkers()
 	fab.run()
-	if ro.err == nil && plan != nil {
+	if ro.err == nil && plan == nil && len(ro.pending) > 0 {
+		it := ro.items[ro.pending[0]]
+		ro.err = fmt.Errorf("fleet: %d hand-offs stranded: request %d (%d KV blocks) fits no decode replica",
+			len(ro.pending), it.origin, it.h.KV.Blocks())
+	}
+	if ro.err == nil {
 		// The run drained with work still unplaceable: account it as
 		// dropped-with-reason instead of failing the run (a fault run is
 		// allowed to lose requests, never to lose them silently).
 		for _, item := range ro.pending {
 			ro.drop(ro.items[item].origin, "stranded hand-off: fits no decode replica")
 		}
-		ro.pending = ro.pending[:0]
 		for _, origin := range ro.queuedPrefill {
 			ro.drop(origin, "no live prefill replica")
 		}
-		ro.queuedPrefill = ro.queuedPrefill[:0]
 	}
-	if ro.err == nil && plan == nil && len(ro.pending) > 0 {
-		it := ro.items[ro.pending[0]]
-		ro.err = fmt.Errorf("fleet: %d hand-offs stranded: request %d (%d KV blocks) fits no decode replica",
-			len(ro.pending), it.origin, it.h.KV.Blocks())
+	results, err := finalize(engines, ro.err)
+	if err != nil {
+		return nil, err
 	}
-	if ro.err != nil {
-		shutdownAll()
-		return nil, ro.err
-	}
-	// Finalize every engine even after a failure so no worker
-	// goroutines leak.
-	results := make([]*core.Result, total)
-	var ferr error
-	for i, e := range engines {
-		res, err := e.Finalize()
-		if err != nil && ferr == nil {
-			ferr = fmt.Errorf("fleet: disagg replica %d: %w", i, err)
-		}
-		results[i] = res
-	}
-	if ferr != nil {
-		return nil, ferr
-	}
-	res, err := ro.assemble(cfg, dc, results)
+	res, err := ro.result(cfg, dc, results)
 	if err == nil {
 		res.Steps = fab.Steps()
-		if ro.dpool != nil {
-			res.Report.Autoscale = ro.dpool.finish(res.Report.Elapsed, cfg.World)
-		}
 	}
 	return res, err
 }
 
 // dtickEvent is one decode-pool autoscaler evaluation on the control
-// timeline. The decode queue signal counts resident decode requests
-// plus hand-offs still waiting for headroom; TTFT/goodput carry no
-// decode-side meaning, so they stay at their neutral values.
+// timeline.
 func dtickEvent(ctx any, _, _ int) {
 	ro := ctx.(*disaggRouter)
 	if ro.err != nil {
 		return
 	}
-	now := float64(ro.ctl.Now())
-	ro.dpool.reapDrains()
-	ro.dpool.stats.Ticks++
-	var s policy.Signals
-	s.Active, s.Warming = ro.dpool.counts()
-	queued := len(ro.pending)
-	for i := range ro.decode {
-		queued += ro.dOut[i].Requests
-	}
-	if s.Active > 0 {
-		s.QueuePerReplica = float64(queued) / float64(s.Active)
-	} else {
-		s.QueuePerReplica = float64(queued)
-	}
-	s.Goodput = 1
-	outstanding := func(i int) int { return ro.dOut[i].Requests }
-	warm := func(k int) {
-		ro.ctl.AtFunc(sim.Time(now+ro.dpool.coldStart), dactivateEvent, ro, k, 0)
-	}
-	ro.dpool.scale(ro.dpool.as.Decide(now, s), now, outstanding, warm)
 	// Keep ticking while any request is unresolved. A handed-off
 	// request is counted once by its prefill engine and once at its
 	// real decode finish, so subtract the hand-off count.
 	finished := -ro.handoffs
-	for _, e := range ro.prefill {
+	for _, e := range ro.p.engines {
 		finished += e.NumFinished()
 	}
-	for _, e := range ro.decode {
+	for _, e := range ro.d.engines {
 		finished += e.NumFinished()
 	}
-	if finished+ro.fstats.Dropped < len(ro.reqs) {
-		ro.ctl.AtFunc(ro.ctl.Now()+ro.dpool.tickInterval(), dtickEvent, ro, 0, 0)
+	ro.dpool.tick(ro.ctl, ro.d.outstanding, ro.signals, ro, dactivateEvent, dtickEvent, finished+ro.dropped < len(ro.reqs))
+}
+
+// signals is the decode pool's autoscaler view: resident decode
+// requests plus hand-offs still waiting for headroom. TTFT and goodput
+// carry no decode-side meaning, so they keep their neutral values.
+func (ro *disaggRouter) signals() policy.Signals {
+	queued := len(ro.pending)
+	for _, l := range ro.d.outstanding {
+		queued += l.Requests
 	}
+	return ro.dpool.signals(queued)
 }
 
 // dactivateEvent completes one decode-pool scale-up and immediately
@@ -449,34 +329,9 @@ func dactivateEvent(ctx any, k, _ int) {
 // disaggArrivalEvent fires at a request's arrival instant (AtFunc: ctx
 // is the router, a the trace index).
 func disaggArrivalEvent(ctx any, idx, _ int) {
-	ro := ctx.(*disaggRouter)
-	ro.route(ro.reqs[idx], idx)
-}
-
-// route dispatches one arrival to the prefill pool. Under a fault plan
-// the pick is health-checked: dead replicas are filtered out first, and
-// an arrival with no live prefill replica queues until a restart.
-func (ro *disaggRouter) route(r workload.Request, origin int) {
-	if ro.err != nil {
-		return
+	if ro := ctx.(*disaggRouter); ro.err == nil {
+		ro.dispatchPrefill(idx)
 	}
-	if ro.plan != nil || ro.pBreakers != nil {
-		ro.dispatchPrefill(origin)
-		return
-	}
-	loads := ro.loads[:len(ro.prefill)]
-	for i := range ro.prefill {
-		l := ro.pOut[i]
-		l.WarmTokens = ro.prefill[i].PrefixWarmTokens(r)
-		l.FreeKVTokens = ro.prefill[i].FreeKVTokens()
-		loads[i] = l
-	}
-	k := ro.ppolicy.Pick(r, loads)
-	if k < 0 || k >= len(ro.prefill) {
-		ro.err = fmt.Errorf("fleet: policy %q picked prefill replica %d of %d", ro.ppolicy.Name(), k, len(ro.prefill))
-		return
-	}
-	ro.submitPrefill(r, origin, k)
 }
 
 // dispatchPrefill routes origin's request to a live, breaker-routable
@@ -488,57 +343,21 @@ func (ro *disaggRouter) route(r workload.Request, origin int) {
 func (ro *disaggRouter) dispatchPrefill(origin int) {
 	r := ro.reqs[origin]
 	now := float64(ro.ctl.Now())
-	ro.cand = ro.cand[:0]
-	loads := ro.loads[:0]
-	skips := 0
-	add := func(i int) {
-		l := ro.pOut[i]
-		l.WarmTokens = ro.prefill[i].PrefixWarmTokens(r)
-		l.FreeKVTokens = ro.prefill[i].FreeKVTokens()
-		ro.cand = append(ro.cand, i)
-		loads = append(loads, l)
-	}
-	for i := range ro.prefill {
-		if !ro.prefill[i].Alive() {
-			continue
-		}
-		if ro.pBreakers != nil && !ro.pBreakers[i].Routable(now) {
-			skips++
-			continue
-		}
-		add(i)
-	}
-	if len(ro.cand) == 0 && skips > 0 {
-		for i := range ro.prefill {
-			if ro.prefill[i].Alive() {
-				add(i)
-			}
-		}
+	if skips := ro.offerPrefill(r, now, true); skips > 0 && len(ro.p.candScratch) == 0 {
+		ro.offerPrefill(r, now, false)
 	} else {
 		ro.astats.BreakerSkips += skips
 	}
-	if len(ro.cand) == 0 {
+	k, err := ro.p.pick(r, now)
+	switch {
+	case err != nil:
+		ro.err = err
+		return
+	case k < 0:
 		ro.queuedPrefill = append(ro.queuedPrefill, origin)
 		return
 	}
-	j := ro.ppolicy.Pick(r, loads)
-	if j < 0 || j >= len(ro.cand) {
-		ro.err = fmt.Errorf("fleet: policy %q picked prefill candidate %d of %d", ro.ppolicy.Name(), j, len(ro.cand))
-		return
-	}
-	k := ro.cand[j]
-	if ro.pBreakers != nil {
-		// Consume the half-open probe slot if the pick is probing.
-		ro.pBreakers[k].Allow(now)
-	}
-	ro.submitPrefill(r, origin, k)
-}
-
-// submitPrefill lands one request on prefill replica k and records the
-// routing.
-func (ro *disaggRouter) submitPrefill(r workload.Request, origin, k int) {
-	cost := ro.ppolicy.Cost(r)
-	local, err := ro.prefill[k].Submit(r)
+	local, err := ro.p.engines[k].Submit(r)
 	if err != nil {
 		if ro.plan != nil && errors.Is(err, core.ErrRequestTooLarge) {
 			// A fault run is allowed to lose requests, never to lose
@@ -550,39 +369,35 @@ func (ro *disaggRouter) submitPrefill(r workload.Request, origin, k int) {
 		ro.err = fmt.Errorf("fleet: prefill replica %d rejected request %d: %w", k, origin, err)
 		return
 	}
-	ro.pEntries[k] = append(ro.pEntries[k], loadEntry{inputTokens: r.InputLen, cost: cost})
-	ro.pOut[k].Requests++
-	ro.pOut[k].InputTokens += r.InputLen
-	ro.pOut[k].CostTokens += cost
-	routed := r
-	routed.ID = local
-	ro.pShards[k].Reqs = append(ro.pShards[k].Reqs, routed)
-	ro.pShards[k].Origin = append(ro.pShards[k].Origin, origin)
-	ro.final[origin] = recRef{decode: false, replica: k, local: local}
+	ro.p.add(r, origin, k, local)
+	ro.land(origin, k, local)
 }
 
-// retirePrefill removes a request's contribution from its prefill
-// replica's load counters (finish, hand-off and crash-abort alike).
-func (ro *disaggRouter) retirePrefill(replica, local int) {
-	en := ro.pEntries[replica][local]
-	ro.pOut[replica].Requests--
-	ro.pOut[replica].InputTokens -= en.inputTokens
-	ro.pOut[replica].CostTokens -= en.cost
+// offerPrefill offers every live prefill replica, skipping (and
+// counting) breaker-open ones when gate is set.
+func (ro *disaggRouter) offerPrefill(r workload.Request, now float64, gate bool) (skips int) {
+	for i, e := range ro.p.engines {
+		switch {
+		case !e.Alive():
+		case gate && ro.p.tripped(i, now):
+			skips++
+		default:
+			ro.p.offer(i, e.PrefixWarmTokens(r))
+		}
+	}
+	return skips
 }
 
 // prefillFinished is the prefill engines' completion hook; it fires
 // both for local completions and for hand-offs (the prefill engine
-// retires the request before the hand-off hook runs, which immediately
-// takes the tentative finish back).
+// retires the request before the hand-off hook runs, which takes the
+// tentative finish back).
 func (ro *disaggRouter) prefillFinished(replica, local int) {
-	ro.retirePrefill(replica, local)
-	if ro.fin != nil {
-		ro.fin[ro.pShards[replica].Origin[local]]++
-	}
-	if ro.pBreakers != nil {
+	ro.fin[ro.p.retire(replica, local)]++
+	if ro.p.breakers != nil {
 		// Trip accounting is summed from Trips() at assemble; the
 		// hook must not touch the shared stats struct.
-		ro.pBreakers[replica].OnSuccess(float64(ro.prefill[replica].Now()))
+		ro.p.breakers[replica].OnSuccess(float64(ro.p.engines[replica].Now()))
 	}
 }
 
@@ -596,22 +411,17 @@ func (ro *disaggRouter) handoff(replica int, h core.Handoff) {
 	if ro.err != nil {
 		return
 	}
-	origin := ro.pShards[replica].Origin[h.Local]
-	if ro.fin != nil {
-		// The engine-local "finish" was a hand-off, not a completion.
-		ro.fin[origin]--
-	}
+	origin := ro.p.shards[replica].Origin[h.Local]
+	// The engine-local "finish" was a hand-off, not a completion.
+	ro.fin[origin]--
 	ro.items = append(ro.items, handoffItem{origin: origin, h: h})
 	ro.handoffs++
 	bytes := float64(h.KV.Blocks()) * ro.blockBytes
 	ro.moved += bytes
-	done := float64(h.At) + ro.xferTime(bytes)
-	if ro.plan != nil {
-		// The export crosses the source replica's link timeline: a
-		// prefill replica inside a network domain outage stalls its
-		// hand-offs until the partition lifts.
-		done = ro.plan.TransferDoneFrom(replica, float64(h.At), ro.xferTime(bytes))
-	}
+	// The export crosses the source replica's link timeline: a prefill
+	// replica inside a network domain outage stalls its hand-offs until
+	// the partition lifts.
+	done := ro.plan.TransferDoneFrom(replica, float64(h.At), ro.xferTime(bytes))
 	ro.ctl.AtFunc(sim.Time(done), transferDoneEvent, ro, len(ro.items)-1, 0)
 }
 
@@ -628,86 +438,42 @@ func transferDoneEvent(ctx any, item, _ int) {
 	}
 }
 
-// place admits a transferred hand-off on a decode replica, if any has
-// headroom for the import. Replicas that cannot import — dead,
-// drained, out of KV headroom, or inside a network domain outage —
-// are filtered out before the decode-affinity pick ranks the rest;
-// breaker-open replicas are skipped too, falling back to the
+// place admits a transferred hand-off on a decode replica, if any can
+// import it; breaker-open replicas are skipped, falling back to the
 // importable set when every importable breaker is open.
 func (ro *disaggRouter) place(item int) bool {
 	it := &ro.items[item]
 	r := ro.reqs[it.origin]
 	now := float64(ro.ctl.Now())
-	ro.cand = ro.cand[:0]
-	loads := ro.loads[:0]
-	skips := 0
-	add := func(i int) {
-		l := ro.dOut[i]
-		l.WarmTokens = ro.decode[i].ResidentKVTokens(it.h.KV)
-		l.FreeKVTokens = ro.decode[i].FreeKVTokens()
-		ro.cand = append(ro.cand, i)
-		loads = append(loads, l)
-	}
 	// lift is the earliest instant a partition excluding a replica
 	// here will end; a placement retry is scheduled there so work is
 	// never stranded behind an outage that outlives the decode pool's
 	// finish stream.
 	lift := -1.0
-	importable := func(i int) bool {
-		if !ro.dpool.routable(i) || !ro.decode[i].Alive() || !ro.decode[i].CanImportKV(it.h.KV) {
-			return false
-		}
-		if ro.plan.PartitionedAt(len(ro.prefill)+i, now) {
-			if end := ro.plan.PartitionLiftsAt(len(ro.prefill)+i, now); lift < 0 || end < lift {
-				lift = end
-			}
-			return false
-		}
-		return true
-	}
-	for i := range ro.decode {
-		if !importable(i) {
-			continue
-		}
-		if ro.dBreakers != nil && !ro.dBreakers[i].Routable(now) {
-			skips++
-			continue
-		}
-		add(i)
-	}
-	if len(ro.cand) == 0 && skips > 0 {
-		for i := range ro.decode {
-			if importable(i) {
-				add(i)
-			}
-		}
+	if skips := ro.offerDecode(it.h.KV, now, true, &lift); skips > 0 && len(ro.d.candScratch) == 0 {
+		ro.offerDecode(it.h.KV, now, false, &lift)
 	} else {
 		ro.astats.BreakerSkips += skips
 	}
-	if len(ro.cand) == 0 {
+	k, err := ro.d.pick(r, now)
+	switch {
+	case err != nil:
+		ro.err = err
+		return true
+	case k < 0:
 		if lift > now {
 			ro.ctl.AtFunc(sim.Time(lift), drainPendingEvent, ro, 0, 0)
 		}
 		return false
 	}
-	j := ro.dpolicy.Pick(r, loads)
-	if j < 0 || j >= len(ro.cand) {
-		ro.err = fmt.Errorf("fleet: policy %q picked decode candidate %d of %d", ro.dpolicy.Name(), j, len(ro.cand))
-		return true
-	}
-	k := ro.cand[j]
-	if ro.dBreakers != nil {
-		// Consume the half-open probe slot if the pick is probing.
-		ro.dBreakers[k].Allow(now)
-	}
-	local, err := ro.decode[k].SubmitDecoded(r, it.h)
+	local, err := ro.d.engines[k].SubmitDecoded(r, it.h)
 	if err != nil {
 		if ro.plan != nil {
 			// The import failed at arrival — the target died or lost
 			// its headroom in this very instant. Re-enter the
 			// lifecycle through the prefill pool with recompute on the
 			// same attempt instead of stranding the request (an
-			// oversized request drops inside submitPrefill).
+			// oversized request drops inside dispatchPrefill).
 			ro.fstats.RecoveredRecompute++
 			ro.dispatchPrefill(it.origin)
 			return true
@@ -715,20 +481,34 @@ func (ro *disaggRouter) place(item int) bool {
 		ro.err = fmt.Errorf("fleet: import on decode replica %d: %w", k, err)
 		return true
 	}
-	cost := ro.dpolicy.Cost(r)
-	ro.dEntries[k] = append(ro.dEntries[k], loadEntry{inputTokens: r.InputLen, cost: cost})
-	ro.dOut[k].Requests++
-	ro.dOut[k].InputTokens += r.InputLen
-	ro.dOut[k].CostTokens += cost
-	routed := r
-	routed.ID = local
-	ro.dShards[k].Reqs = append(ro.dShards[k].Reqs, routed)
-	ro.dShards[k].Origin = append(ro.dShards[k].Origin, it.origin)
-	ro.final[it.origin] = recRef{decode: true, replica: k, local: local}
+	ro.d.add(r, it.origin, k, local)
+	ro.land(it.origin, len(ro.p.engines)+k, local)
 	if it.recovery {
 		ro.fstats.RecoveredCheckpoint++
 	}
 	return true
+}
+
+// offerDecode offers every decode replica that can import kv at now:
+// active in the pool, alive, with headroom, and outside a network
+// domain outage (lift tracks the earliest end of such an outage). When
+// gate is set breaker-open replicas are skipped and counted.
+func (ro *disaggRouter) offerDecode(kv kvcache.ExportedSeq, now float64, gate bool, lift *float64) (skips int) {
+	np := len(ro.p.engines)
+	for i, e := range ro.d.engines {
+		switch {
+		case !ro.dpool.routable(i) || !e.Alive() || !e.CanImportKV(kv):
+		case ro.plan.PartitionedAt(np+i, now):
+			if end := ro.plan.PartitionLiftsAt(np+i, now); *lift < 0 || end < *lift {
+				*lift = end
+			}
+		case gate && ro.d.tripped(i, now):
+			skips++
+		default:
+			ro.d.offer(i, e.ResidentKVTokens(kv))
+		}
+	}
+	return skips
 }
 
 // decodeFinished retires a request from its decode replica's counters
@@ -736,26 +516,15 @@ func (ro *disaggRouter) place(item int) bool {
 // queued for headroom, the fabric lockstep sees the flag and retries
 // placement at this instant (after every decode event at it has run).
 func (ro *disaggRouter) decodeFinished(replica, local int) {
-	ro.retireDecode(replica, local)
-	if ro.fin != nil {
-		ro.fin[ro.dShards[replica].Origin[local]]++
+	ro.fin[ro.d.retire(replica, local)]++
+	t := float64(ro.d.engines[replica].Now())
+	if ro.d.breakers != nil {
+		ro.d.breakers[replica].OnSuccess(t)
 	}
-	if ro.dBreakers != nil {
-		ro.dBreakers[replica].OnSuccess(float64(ro.decode[replica].Now()))
+	if ro.dpool != nil && ro.d.outstanding[replica].Requests == 0 {
+		ro.dpool.noteDrained(replica, t)
 	}
-	if ro.dpool != nil && ro.dOut[replica].Requests == 0 {
-		ro.dpool.noteDrained(replica, float64(ro.decode[replica].Now()))
-	}
-	ro.fab.markFinish(len(ro.prefill) + replica)
-}
-
-// retireDecode removes a request's contribution from its decode
-// replica's load counters (finish and crash-abort alike).
-func (ro *disaggRouter) retireDecode(replica, local int) {
-	en := ro.dEntries[replica][local]
-	ro.dOut[replica].Requests--
-	ro.dOut[replica].InputTokens -= en.inputTokens
-	ro.dOut[replica].CostTokens -= en.cost
+	ro.fab.markFinish(len(ro.p.engines) + replica)
 }
 
 // drainPendingEvent retries queued hand-offs in completion order
@@ -781,6 +550,14 @@ func (ro *disaggRouter) drainPending() {
 	ro.pending = kept
 }
 
+// poolOf maps a fleet replica index to its pool and pool-local index.
+func (ro *disaggRouter) poolOf(replica int) (*book, int) {
+	if np := len(ro.p.engines); replica >= np {
+		return &ro.d, replica - np
+	}
+	return &ro.p, replica
+}
+
 // disaggCrashEvent executes one planned replica failure (AtFunc: ctx
 // is the router, a the crash index in the plan). The replica's
 // in-flight requests are aborted and re-dispatched: resumed from their
@@ -792,40 +569,23 @@ func disaggCrashEvent(ctx any, ci, _ int) {
 		return
 	}
 	c := ro.plan.Crashes[ci]
-	restart := sim.Time(c.RestartAt)
-	var lost []core.Lost
-	var err error
-	var origins []int
-	if c.Replica < len(ro.prefill) {
-		k := c.Replica
-		lost, err = ro.prefill[k].Crash(restart)
-		if err == nil {
-			for _, l := range lost {
-				ro.retirePrefill(k, l.Local)
-				origins = append(origins, ro.pShards[k].Origin[l.Local])
-			}
-		}
-	} else {
-		dk := c.Replica - len(ro.prefill)
-		lost, err = ro.decode[dk].Crash(restart)
-		if err == nil {
-			for _, l := range lost {
-				ro.retireDecode(dk, l.Local)
-				origins = append(origins, ro.dShards[dk].Origin[l.Local])
-			}
-		}
-	}
+	b, k := ro.poolOf(c.Replica)
+	lost, err := b.engines[k].Crash(sim.Time(c.RestartAt))
 	if err != nil {
 		ro.err = fmt.Errorf("fleet: crash of replica %d: %w", c.Replica, err)
 		return
 	}
-	if b := ro.breakerFor(c.Replica); b != nil {
+	origins := make([]int, len(lost))
+	for i, l := range lost {
+		origins[i] = b.retire(k, l.Local)
+	}
+	if b.breakers != nil {
 		// A crash is a failure signal per aborted request — at least
 		// one even when the replica was idle — so repeated outages
 		// open the breaker and routing stops probing the replica.
 		now := float64(ro.ctl.Now())
 		for i := 0; i < max(len(lost), 1); i++ {
-			b.OnFailure(now)
+			b.breakers[k].OnFailure(now)
 		}
 	}
 	for i, l := range lost {
@@ -833,27 +593,9 @@ func disaggCrashEvent(ctx any, ci, _ int) {
 	}
 }
 
-// breakerFor maps a fleet-global replica index to its pool's breaker,
-// nil when breakers are off.
-func (ro *disaggRouter) breakerFor(replica int) *policy.Breaker {
-	switch {
-	case ro.pBreakers == nil:
-		return nil
-	case replica < len(ro.prefill):
-		return ro.pBreakers[replica]
-	default:
-		return ro.dBreakers[replica-len(ro.prefill)]
-	}
-}
-
 // recover re-dispatches one crash-lost request, spending one retry.
 func (ro *disaggRouter) recover(origin int, l core.Lost) {
-	if ro.err != nil {
-		return
-	}
-	ro.attempts[origin]++
-	if ro.attempts[origin] > ro.plan.MaxRetries() {
-		ro.drop(origin, "retry budget exhausted")
+	if ro.err != nil || !ro.retry(origin, ro.plan.MaxRetries()) {
 		return
 	}
 	if l.Ckpt != nil {
@@ -893,212 +635,62 @@ func disaggRestoreEvent(ctx any, ci, _ int) {
 		return
 	}
 	c := ro.plan.Crashes[ci]
-	if c.Replica < len(ro.prefill) {
-		if err := ro.prefill[c.Replica].Restore(); err != nil {
-			ro.err = fmt.Errorf("fleet: restore of replica %d: %w", c.Replica, err)
-			return
-		}
-		if len(ro.queuedPrefill) > 0 {
-			q := ro.queuedPrefill
-			ro.queuedPrefill = nil
-			for _, origin := range q {
-				ro.dispatchPrefill(origin)
-			}
-		}
-		return
-	}
-	if err := ro.decode[c.Replica-len(ro.prefill)].Restore(); err != nil {
+	b, k := ro.poolOf(c.Replica)
+	if err := b.engines[k].Restore(); err != nil {
 		ro.err = fmt.Errorf("fleet: restore of replica %d: %w", c.Replica, err)
 		return
 	}
-	if len(ro.pending) > 0 {
+	if b == &ro.p {
+		q := ro.queuedPrefill
+		ro.queuedPrefill = nil
+		for _, origin := range q {
+			ro.dispatchPrefill(origin)
+		}
+	} else if len(ro.pending) > 0 {
 		// Retry after the control events at this instant settle: the
 		// restored replica may now import what others could not.
 		ro.ctl.AtFunc(ro.ctl.Now(), drainPendingEvent, ro, 0, 0)
 	}
 }
 
-// drop abandons a request with a reason (idempotent).
-func (ro *disaggRouter) drop(origin int, reason string) {
-	if ro.droppedReason[origin] == "" {
-		ro.droppedReason[origin] = reason
-		ro.fstats.Dropped++
-	}
-}
-
-// assemble builds the merged disaggregated result: the conservation
-// check, the record merge across pools, and the aggregate report.
-func (ro *disaggRouter) assemble(cfg core.Config, dc DisaggConfig, results []*core.Result) (*DisaggResult, error) {
-	if ro.plan != nil {
-		return ro.assembleFaults(cfg, dc, results)
-	}
-	n := len(ro.reqs)
+// result assembles the disaggregated run: conservation, records merged
+// across both pools, and the fleet report with its fault, breaker and
+// autoscale accounting.
+func (ro *disaggRouter) result(cfg core.Config, dc DisaggConfig, results []*core.Result) (*DisaggResult, error) {
+	np := dc.PrefillReplicas
 	res := &DisaggResult{
-		Prefill:          results[:dc.PrefillReplicas],
-		Decode:           results[dc.PrefillReplicas:],
-		PrefillShards:    ro.pShards,
-		DecodeShards:     ro.dShards,
+		Prefill:          results[:np],
+		Decode:           results[np:],
+		PrefillShards:    ro.p.shards,
+		DecodeShards:     ro.d.shards,
 		Handoffs:         ro.handoffs,
 		TransferredBytes: ro.moved,
 		QueuedHandoffs:   ro.queued,
 	}
-	if err := res.checkConservation(n); err != nil {
+	mode := "DisaggFaults"
+	if ro.plan == nil {
+		// Without faults nothing is re-dispatched, so the per-shard
+		// lifecycle holds too.
+		mode = "Disagg"
+		if err := res.checkConservation(len(ro.reqs)); err != nil {
+			return nil, err
+		}
+	}
+	rep, records, err := ro.assemble(cfg, fmt.Sprintf("%s(TD-Pipe %dP+%dD)", mode, np, dc.DecodeReplicas), results)
+	if err != nil {
 		return nil, err
 	}
-	records := make([]metrics.RequestRecord, n)
-	for origin, ref := range ro.final {
-		pool := res.Prefill
-		if ref.decode {
-			pool = res.Decode
-		}
-		rec := pool[ref.replica].Records[ref.local]
-		rec.ID = origin
-		records[origin] = rec
+	ro.fstats.Dropped = ro.dropped
+	if ro.plan != nil {
+		ro.fstats.DomainOutages = len(ro.plan.Domains)
 	}
-	res.Records = records
-
-	rep := metrics.Report{
-		Scheduler: fmt.Sprintf("Disagg(TD-Pipe %dP+%dD)", dc.PrefillReplicas, dc.DecodeReplicas),
-		Node:      cfg.Node.Name,
-		Model:     cfg.Spec.Name,
-		GPUs:      cfg.World * (dc.PrefillReplicas + dc.DecodeReplicas),
-		Requests:  n,
-	}
-	for _, r := range ro.reqs {
-		rep.InputTokens += r.InputLen
-	}
-	for _, rec := range records {
-		rep.OutputTokens += rec.OutputTokens
-	}
-	var busy float64
-	for _, r := range results {
-		rr := r.Report
-		rep.PhaseSwitches += rr.PhaseSwitches
-		rep.Recomputes += rr.Recomputes
-		rep.PrefixCachedTokens += rr.PrefixCachedTokens
-		if rr.Elapsed > rep.Elapsed {
-			rep.Elapsed = rr.Elapsed
-		}
-		if rr.KVPeakUsage > rep.KVPeakUsage {
-			rep.KVPeakUsage = rr.KVPeakUsage
-		}
-		busy += rr.MeanUtilization * rr.Elapsed * float64(rr.GPUs)
-	}
-	if rep.Elapsed > 0 && rep.GPUs > 0 {
-		rep.MeanUtilization = busy / (rep.Elapsed * float64(rep.GPUs))
-	}
-	ro.addBreakerStats(&rep)
-	rep.BubbleRatio = 1 - rep.MeanUtilization
-	rep.Latency = metrics.Digest(records, cfg.SLO)
-	res.Report = rep
-	return res, nil
-}
-
-// addBreakerStats folds routing-time breaker activity and the trip
-// count into the report's admission stats (a no-op zero value when
-// breakers are off, so pre-breaker reports stay byte-identical).
-func (ro *disaggRouter) addBreakerStats(rep *metrics.Report) {
-	if ro.pBreakers != nil {
-		trips := 0
-		for _, b := range ro.pBreakers {
-			trips += b.Trips()
-		}
-		for _, b := range ro.dBreakers {
-			trips += b.Trips()
-		}
-		ro.astats.BreakerTrips = trips
-	}
-	rep.Admission = ro.astats
-}
-
-// assembleFaults builds the result of a fault-injected run. The
-// conservation invariant changes shape: instead of "every replica
-// completed exactly its shard", every trace request must have finished
-// terminally exactly once XOR carry a drop reason — nothing lost
-// silently, nothing double-finished, across any number of crashes and
-// re-dispatches.
-func (ro *disaggRouter) assembleFaults(cfg core.Config, dc DisaggConfig, results []*core.Result) (*DisaggResult, error) {
-	n := len(ro.reqs)
-	res := &DisaggResult{
-		Prefill:          results[:dc.PrefillReplicas],
-		Decode:           results[dc.PrefillReplicas:],
-		PrefillShards:    ro.pShards,
-		DecodeShards:     ro.dShards,
-		Handoffs:         ro.handoffs,
-		TransferredBytes: ro.moved,
-		QueuedHandoffs:   ro.queued,
-	}
-	finished := 0
-	for origin := 0; origin < n; origin++ {
-		switch f, dropped := ro.fin[origin], ro.droppedReason[origin] != ""; {
-		case f == 1 && !dropped:
-			finished++
-		case f == 0 && dropped:
-		case f > 1:
-			return nil, fmt.Errorf("fleet: request %d finished %d times across crashes", origin, f)
-		case dropped:
-			return nil, fmt.Errorf("fleet: request %d both finished and dropped (%s)", origin, ro.droppedReason[origin])
-		default:
-			return nil, fmt.Errorf("fleet: request %d lost without a drop reason (fin=%d)", origin, f)
-		}
-	}
-	records := make([]metrics.RequestRecord, n)
-	for origin, ref := range ro.final {
-		if ro.droppedReason[origin] != "" {
-			// Dropped: an unfinished zero record — it stays in the
-			// digest's denominator, so goodput pays for the loss.
-			records[origin] = metrics.RequestRecord{ID: origin, Arrival: ro.reqs[origin].ArrivalTime}
-			continue
-		}
-		pool := res.Prefill
-		if ref.decode {
-			pool = res.Decode
-		}
-		rec := pool[ref.replica].Records[ref.local]
-		rec.ID = origin
-		records[origin] = rec
-	}
-	res.Records = records
-
-	rep := metrics.Report{
-		Scheduler: fmt.Sprintf("DisaggFaults(TD-Pipe %dP+%dD)", dc.PrefillReplicas, dc.DecodeReplicas),
-		Node:      cfg.Node.Name,
-		Model:     cfg.Spec.Name,
-		GPUs:      cfg.World * (dc.PrefillReplicas + dc.DecodeReplicas),
-		Requests:  finished,
-	}
-	for origin, r := range ro.reqs {
-		if ro.droppedReason[origin] == "" {
-			rep.InputTokens += r.InputLen
-		}
-	}
-	for _, rec := range records {
-		rep.OutputTokens += rec.OutputTokens
-	}
-	var busy float64
-	for _, r := range results {
-		rr := r.Report
-		rep.PhaseSwitches += rr.PhaseSwitches
-		rep.Recomputes += rr.Recomputes
-		rep.PrefixCachedTokens += rr.PrefixCachedTokens
-		rep.Faults.Add(rr.Faults)
-		if rr.Elapsed > rep.Elapsed {
-			rep.Elapsed = rr.Elapsed
-		}
-		if rr.KVPeakUsage > rep.KVPeakUsage {
-			rep.KVPeakUsage = rr.KVPeakUsage
-		}
-		busy += rr.MeanUtilization * rr.Elapsed * float64(rr.GPUs)
-	}
-	ro.fstats.DomainOutages = len(ro.plan.Domains)
 	rep.Faults.Add(ro.fstats)
-	ro.addBreakerStats(&rep)
-	if rep.Elapsed > 0 && rep.GPUs > 0 {
-		rep.MeanUtilization = busy / (rep.Elapsed * float64(rep.GPUs))
+	ro.astats.BreakerTrips = ro.p.trips() + ro.d.trips()
+	rep.Admission = ro.astats
+	if ro.dpool != nil {
+		rep.Autoscale = ro.dpool.finish(rep.Elapsed, cfg.World)
 	}
-	rep.BubbleRatio = 1 - rep.MeanUtilization
-	rep.Latency = metrics.Digest(records, cfg.SLO)
-	res.Report = rep
+	res.Report, res.Records = rep, records
 	return res, nil
 }
 

@@ -1,46 +1,31 @@
 package fleet
 
 import (
-	"errors"
-	"fmt"
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// Elastic online serving: RunOnline's shared-clock router grown a
-// policy layer (package policy). The stack's components compose in
-// front of the replicas — token-bucket admission sheds arrivals, a
-// seeded backoff schedule retries them, per-replica circuit breakers
-// take SLO-violating replicas out of routing, priority preemption
-// evicts low tiers under KV pressure — while the autoscaler watches
-// windowed SLO signals at a fixed tick cadence and breathes the active
-// replica set between Min and Max, paying a modeled cold-start
-// (weight-load) delay on every scale-up. Every intervention executes
-// on the fabric's control timeline, so elastic runs stay byte-identical
-// across worker counts; conservation is exactly-once XOR dropped, as
-// in the fault router.
+// The online router's policy layer (package policy). The stack's
+// components compose in front of the replicas — token-bucket admission
+// sheds arrivals, a seeded backoff schedule retries them, per-replica
+// circuit breakers take SLO-violating replicas out of routing, priority
+// preemption evicts low tiers under KV pressure — while the autoscaler
+// watches windowed SLO signals at a fixed tick cadence and breathes the
+// active replica set between Min and Max, paying a modeled cold-start
+// (weight-load) delay on every scale-up.
 
-// replica lifecycle states of the elastic router.
-const (
-	rIdle     = iota // provisioned but not serving (never started, or drained)
-	rWarming         // scale-up decided, weight load in progress
-	rActive          // serving traffic
-	rDraining        // scale-down decided, finishing resident work
-)
-
-// RunOnlineElastic is RunOnline under a policy stack. An inactive (or
-// nil) stack delegates to RunOnline itself, so policy-free results
-// stay bit-identical to the pre-policy code path. replicas is the
-// provisioned fleet — the pool the autoscaler may grow into — and must
-// cover the autoscaler's Max. An autoscaler whose ColdStart is zero
-// gets the modeled weight-load time of one replica
-// (faults.WeightReloadTime for the run's node, model and world size).
+// RunOnlineElastic is RunOnline under a policy stack. A nil or inactive
+// stack is an absent policy layer, so policy-free results are
+// byte-identical to RunOnline. replicas is the provisioned fleet — the
+// pool the autoscaler may grow into — and must cover the autoscaler's
+// Max. An autoscaler whose ColdStart is zero gets the modeled
+// weight-load time of one replica (faults.WeightReloadTime for the
+// run's node, model and world size).
 func RunOnlineElastic(cfg core.Config, replicas int, p Policy, reqs []workload.Request, stack *policy.Stack) (*Result, error) {
 	return RunOnlineElasticWorkers(cfg, replicas, p, reqs, stack, 1)
 }
@@ -51,270 +36,53 @@ func RunOnlineElastic(cfg core.Config, replicas int, p Policy, reqs []workload.R
 // all execute on the control timeline, so reports are byte-identical
 // across worker counts.
 func RunOnlineElasticWorkers(cfg core.Config, replicas int, p Policy, reqs []workload.Request, stack *policy.Stack, workers int) (*Result, error) {
-	if !stack.Active() {
-		return RunOnlineWorkers(cfg, replicas, p, reqs, workers)
-	}
-	if replicas <= 0 {
-		return nil, fmt.Errorf("fleet: replicas = %d", replicas)
-	}
-	if p == nil {
-		return nil, fmt.Errorf("fleet: nil policy")
-	}
-	if err := validateArrivals(reqs); err != nil {
-		return nil, err
-	}
-	coldStart := 0.0
-	if as := stack.Autoscaler; as != nil {
-		ac := as.Config()
-		if ac.Max > replicas {
-			return nil, fmt.Errorf("fleet: autoscaler Max %d exceeds provisioned replicas %d", ac.Max, replicas)
-		}
-		coldStart = ac.ColdStart
-		if coldStart == 0 {
-			coldStart = faults.WeightReloadTime(cfg.Node, cfg.Spec, cfg.World)
-		}
-	}
-	fab := newFabric(ResolveWorkers(workers, replicas))
-	fab.addTier(0, replicas)
-	engines := make([]*core.Engine, replicas)
-	for i := range engines {
-		e, err := core.NewEngine(fab.engineFor(i), cfg)
-		if err == nil {
-			err = e.StartOnline()
-		}
-		if err != nil {
-			if e != nil {
-				e.Shutdown()
-			}
-			for _, prev := range engines[:i] {
-				prev.Shutdown()
-			}
-			return nil, fmt.Errorf("fleet: replica %d: %w", i, err)
-		}
-		engines[i] = e
-	}
-	ro := &erouter{
-		ctl:           fab.ctl,
-		stack:         stack,
-		policy:        p,
-		engines:       engines,
-		reqs:          reqs,
-		shards:        make([]Shard, replicas),
-		outstanding:   make([]Load, replicas),
-		entries:       make([][]loadEntry, replicas),
-		loads:         make([]Load, 0, replicas),
-		cand:          make([]int, 0, replicas),
-		winTTFT:       make([][]float64, replicas),
-		final:         make([]recRef, len(reqs)),
-		fin:           make([]int, len(reqs)),
-		attempts:      make([]int, len(reqs)),
-		droppedReason: make([]string, len(reqs)),
-		ttftSLO:       cfg.SLO.TTFT,
-		world:         cfg.World,
-	}
-	if as := stack.Autoscaler; as != nil {
-		ro.pool = newElasticPool(as, replicas, coldStart)
-		if as.Config().TTFTTarget > 0 {
-			ro.ttftSLO = as.Config().TTFTTarget
-		}
-	}
-	if b := stack.Breaker; b != nil {
-		ro.breakers = make([]*policy.Breaker, replicas)
-		for i := range ro.breakers {
-			ro.breakers[i] = policy.NewBreaker(*b)
-		}
-	}
-	for i := range engines {
-		i := i
-		engines[i].SetOnFinish(func(local int) { ro.finished(i, local) })
-	}
-	for _, idx := range workload.SortByArrival(reqs) {
-		fab.ctl.AtFunc(sim.Time(reqs[idx].ArrivalTime), eadmitEvent, ro, idx, 0)
-	}
-	if ro.pool != nil {
-		fab.ctl.AtFunc(ro.pool.tickInterval(), etickEvent, ro, 0, 0)
-	}
-	fab.start()
-	defer fab.stopWorkers()
-	fab.run()
-	if ro.err != nil {
-		for _, e := range engines {
-			e.Shutdown()
-		}
-		return nil, ro.err
-	}
-	results := make([]*core.Result, replicas)
-	var ferr error
-	for i, e := range engines {
-		res, err := e.Finalize()
-		if err != nil && ferr == nil {
-			ferr = fmt.Errorf("fleet: replica %d: %w", i, err)
-		}
-		results[i] = res
-	}
-	if ferr != nil {
-		return nil, ferr
-	}
-	res, err := ro.assemble(cfg, results)
-	if err == nil {
-		res.Steps = fab.Steps()
-	}
-	return res, err
+	return runOnline(cfg, replicas, p, reqs, nil, stack, workers)
 }
 
-// erouter is the policy-aware elastic online router. All of its
-// interventions (admission, retry, routing, preemption, autoscale
-// ticks, warm-up completions) execute as control-timeline events on
-// the fabric coordinator; only the engines' finish hooks run on shard
-// goroutines, and those touch per-replica slots exclusively.
-type erouter struct {
-	ctl     *sim.Engine
-	stack   *policy.Stack
-	policy  Policy
-	engines []*core.Engine
-	reqs    []workload.Request
-	shards  []Shard
-
-	outstanding []Load
-	entries     [][]loadEntry
-	loads       []Load
-	cand        []int
-
-	// pool owns the replica lifecycle and GPU-second accounting; nil
-	// when no autoscaler is attached (the fleet stays static).
-	pool *elasticPool
-	// winTTFT[i] collects replica i's completion TTFTs since the last
-	// autoscale tick (shard-written, coordinator-drained).
-	winTTFT [][]float64
-
-	breakers []*policy.Breaker
-
-	// Conservation: exactly one terminal finish XOR a drop reason.
-	final         []recRef
-	fin           []int
-	attempts      []int
-	droppedReason []string
-	dropped       int
-
-	ttftSLO float64
-	world   int
-
-	astats metrics.AdmissionStats
-	err    error
+// admitEvent fires at a request's arrival instant (AtFunc: ctx is the
+// router, a the trace index), and again at each scheduled retry.
+func admitEvent(ctx any, idx, _ int) {
+	ctx.(*router).admit(idx)
 }
 
-// eadmitEvent fires at a request's arrival instant (and again at each
-// scheduled retry).
-func eadmitEvent(ctx any, idx, _ int) {
-	ctx.(*erouter).admit(idx)
-}
-
-// admit runs one request through the front door: the token bucket
-// first, then routing across active, breaker-routable replicas. A shed
-// or unroutable request re-enters admission on the backoff schedule
-// until its retry budget runs out.
-func (ro *erouter) admit(origin int) {
+// admit runs one request through the front door — the token bucket,
+// when one is attached — and on to dispatch. A shed request re-enters
+// admission on the backoff schedule until its retry budget runs out.
+func (ro *router) admit(origin int) {
 	if ro.err != nil || ro.droppedReason[origin] != "" {
 		return
 	}
-	now := float64(ro.ctl.Now())
-	if tb := ro.stack.Admission; tb != nil && !tb.Allow(now) {
+	if ro.stack != nil && ro.stack.Admission != nil && !ro.stack.Admission.Allow(float64(ro.ctl.Now())) {
 		ro.astats.Shed++
 		ro.requeue(origin, "shed by admission control")
 		return
 	}
-	ro.route(origin, now)
+	ro.dispatch(pendingRec{origin: origin, fresh: true})
 }
 
 // requeue schedules a retry for a refused request, or drops it once
 // the budget is spent (or no retry policy is attached).
-func (ro *erouter) requeue(origin int, reason string) {
+func (ro *router) requeue(origin int, reason string) {
 	bo := ro.stack.Retry
-	if bo == nil || ro.attempts[origin] >= bo.MaxAttempts() {
+	if bo == nil || int(ro.attempts[origin]) >= bo.MaxAttempts() {
 		ro.drop(origin, reason)
 		return
 	}
 	ro.attempts[origin]++
 	ro.astats.Retries++
-	delay := bo.Delay(ro.attempts[origin])
-	ro.ctl.AtFunc(ro.ctl.Now()+sim.Time(delay), eadmitEvent, ro, origin, 0)
+	delay := bo.Delay(int(ro.attempts[origin]))
+	ro.ctl.AtFunc(ro.ctl.Now()+sim.Time(delay), admitEvent, ro, origin, 0)
 }
 
-// route dispatches one admitted request to an active replica.
-func (ro *erouter) route(origin int, now float64) {
-	r := ro.reqs[origin]
-	ro.cand = ro.cand[:0]
-	loads := ro.loads[:0]
-	for i := range ro.engines {
-		if !ro.pool.routable(i) {
-			continue
-		}
-		if ro.breakers != nil && !ro.breakers[i].Routable(now) {
-			ro.astats.BreakerSkips++
-			continue
-		}
-		ld := ro.outstanding[i]
-		ld.WarmTokens = ro.engines[i].PrefixWarmTokens(r)
-		ld.FreeKVTokens = ro.engines[i].FreeKVTokens()
-		ro.cand = append(ro.cand, i)
-		loads = append(loads, ld)
-	}
-	if len(ro.cand) == 0 {
-		ro.requeue(origin, "no routable replica")
-		return
-	}
-	j := ro.policy.Pick(r, loads)
-	if j < 0 || j >= len(ro.cand) {
-		ro.err = fmt.Errorf("fleet: policy %q picked candidate %d of %d", ro.policy.Name(), j, len(ro.cand))
-		return
-	}
-	k := ro.cand[j]
-	if ro.breakers != nil {
-		// Consume the half-open probe slot if the pick is probing.
-		ro.breakers[k].Allow(now)
-	}
-	local, err := ro.engines[k].Submit(r)
-	if err != nil {
-		if errors.Is(err, core.ErrRequestTooLarge) {
-			ro.drop(origin, err.Error())
-			return
-		}
-		ro.err = fmt.Errorf("fleet: replica %d rejected request %d: %w", k, origin, err)
-		return
-	}
-	if pc := ro.stack.Preemption; pc != nil && r.Priority == 0 {
-		// The preemptor is already queued ahead; victims requeue
-		// behind it for recompute.
-		victims := ro.engines[k].PreemptLowPriority(pc.Evictable(), r.InputLen)
-		ro.astats.Preemptions += len(victims)
-	}
-	cost := ro.policy.Cost(r)
-	ro.entries[k] = append(ro.entries[k], loadEntry{inputTokens: r.InputLen, cost: cost})
-	ro.outstanding[k].Requests++
-	ro.outstanding[k].InputTokens += r.InputLen
-	ro.outstanding[k].CostTokens += cost
-	routed := r
-	routed.ID = local
-	ro.shards[k].Reqs = append(ro.shards[k].Reqs, routed)
-	ro.shards[k].Origin = append(ro.shards[k].Origin, origin)
-	ro.final[origin] = recRef{replica: k, local: local}
-}
-
-// finished is the engines' completion hook. It runs on the owning
-// shard's goroutine and touches only replica-indexed slots; the
-// coordinator reads them at barriers (ticks, routing, assemble).
-func (ro *erouter) finished(replica, local int) {
-	en := ro.entries[replica][local]
-	ro.outstanding[replica].Requests--
-	ro.outstanding[replica].InputTokens -= en.inputTokens
-	ro.outstanding[replica].CostTokens -= en.cost
-	ro.fin[ro.shards[replica].Origin[local]]++
+// observe feeds one completion to the policy layer: the autoscaler's
+// TTFT window, the replica's breaker and drain detection. It runs on
+// the owning shard's goroutine and touches only replica-indexed slots
+// (breaker trips are summed from Trips() at assemble).
+func (ro *router) observe(replica, local int) {
 	t := float64(ro.engines[replica].Now())
 	if ttft, ok := ro.engines[replica].RequestTTFT(local); ok {
 		ro.winTTFT[replica] = append(ro.winTTFT[replica], ttft)
 		if ro.breakers != nil {
-			// Trip accounting is summed from Trips() at assemble; the
-			// hook must not touch the shared stats struct.
 			if ttft > ro.ttftSLO {
 				ro.breakers[replica].OnFailure(t)
 			} else {
@@ -327,45 +95,24 @@ func (ro *erouter) finished(replica, local int) {
 	}
 }
 
-// drop abandons a request with a reason (idempotent).
-func (ro *erouter) drop(origin int, reason string) {
-	if ro.droppedReason[origin] == "" {
-		ro.droppedReason[origin] = reason
-		ro.dropped++
-		ro.astats.Dropped++
-	}
-}
-
-// etickEvent is one autoscaler evaluation on the control timeline.
-func etickEvent(ctx any, _, _ int) {
-	ro := ctx.(*erouter)
+// tickEvent is one autoscaler evaluation on the control timeline.
+func tickEvent(ctx any, _, _ int) {
+	ro := ctx.(*router)
 	if ro.err != nil {
 		return
 	}
-	now := float64(ro.ctl.Now())
-	ro.pool.reapDrains()
-	ro.pool.stats.Ticks++
-	outstanding := func(i int) int { return ro.outstanding[i].Requests }
-	warm := func(k int) {
-		ro.ctl.AtFunc(sim.Time(now+ro.pool.coldStart), eactivateEvent, ro, k, 0)
-	}
-	ro.pool.scale(ro.stack.Autoscaler.Decide(now, ro.signals()), now, outstanding, warm)
-	// Keep ticking while any request is unresolved; once everything is
-	// terminal the timeline drains and the run ends.
 	finished := 0
 	for _, e := range ro.engines {
 		finished += e.NumFinished()
 	}
-	if finished+ro.dropped < len(ro.reqs) {
-		ro.ctl.AtFunc(ro.ctl.Now()+ro.pool.tickInterval(), etickEvent, ro, 0, 0)
-	}
+	// Keep ticking while any request is unresolved; once everything is
+	// terminal the timeline drains and the run ends.
+	ro.pool.tick(ro.ctl, ro.outstanding, ro.signals, ro, activateEvent, tickEvent, finished+ro.dropped < len(ro.reqs))
 }
 
 // signals builds the autoscaler's windowed SLO view and resets the
 // window.
-func (ro *erouter) signals() policy.Signals {
-	var s policy.Signals
-	s.Active, s.Warming = ro.pool.counts()
+func (ro *router) signals() policy.Signals {
 	queued := 0
 	var win []float64
 	for i := range ro.engines {
@@ -373,12 +120,7 @@ func (ro *erouter) signals() policy.Signals {
 		win = append(win, ro.winTTFT[i]...)
 		ro.winTTFT[i] = ro.winTTFT[i][:0]
 	}
-	if s.Active > 0 {
-		s.QueuePerReplica = float64(queued) / float64(s.Active)
-	} else {
-		s.QueuePerReplica = float64(queued)
-	}
-	s.Goodput = 1
+	s := ro.pool.signals(queued)
 	if len(win) > 0 {
 		sort.Float64s(win)
 		s.TTFTP99 = metrics.Percentile(win, 99)
@@ -393,99 +135,12 @@ func (ro *erouter) signals() policy.Signals {
 	return s
 }
 
-// eactivateEvent completes one scale-up: the replica's weights are
+// activateEvent completes one scale-up: the replica's weights are
 // loaded and it joins routing.
-func eactivateEvent(ctx any, k, _ int) {
-	ro := ctx.(*erouter)
+func activateEvent(ctx any, k, _ int) {
+	ro := ctx.(*router)
 	if ro.err != nil {
 		return
 	}
 	ro.pool.activate(k)
-}
-
-// assemble builds the elastic run's merged result: the exactly-once-
-// XOR-dropped conservation check, the final-owner record merge, and
-// the aggregate report with autoscale and admission accounting.
-func (ro *erouter) assemble(cfg core.Config, results []*core.Result) (*Result, error) {
-	n := len(ro.reqs)
-	finished := 0
-	for origin := 0; origin < n; origin++ {
-		switch f, dropped := ro.fin[origin], ro.droppedReason[origin] != ""; {
-		case f == 1 && !dropped:
-			finished++
-		case f == 0 && dropped:
-		case f > 1:
-			return nil, fmt.Errorf("fleet: request %d finished %d times", origin, f)
-		case dropped:
-			return nil, fmt.Errorf("fleet: request %d both finished and dropped (%s)", origin, ro.droppedReason[origin])
-		default:
-			return nil, fmt.Errorf("fleet: request %d lost without a drop reason (fin=%d)", origin, f)
-		}
-	}
-	records := make([]metrics.RequestRecord, n)
-	for origin, ref := range ro.final {
-		if ro.droppedReason[origin] != "" {
-			// Dropped: an unfinished zero record keeps the request in
-			// the digest's denominator, so goodput pays for the loss.
-			records[origin] = metrics.RequestRecord{ID: origin, Arrival: ro.reqs[origin].ArrivalTime}
-			continue
-		}
-		rec := results[ref.replica].Records[ref.local]
-		rec.ID = origin
-		records[origin] = rec
-	}
-
-	rep := metrics.Report{
-		Scheduler: fmt.Sprintf("FleetElastic(TD-Pipe/%s)x%d", ro.policy.Name(), len(results)),
-		Node:      cfg.Node.Name,
-		Model:     cfg.Spec.Name,
-		GPUs:      cfg.World * len(results),
-		Requests:  finished,
-	}
-	for origin, r := range ro.reqs {
-		if ro.droppedReason[origin] == "" {
-			rep.InputTokens += r.InputLen
-		}
-	}
-	for _, rec := range records {
-		rep.OutputTokens += rec.OutputTokens
-	}
-	var busy float64
-	for _, r := range results {
-		rr := r.Report
-		rep.PhaseSwitches += rr.PhaseSwitches
-		rep.Recomputes += rr.Recomputes
-		rep.PrefixCachedTokens += rr.PrefixCachedTokens
-		rep.Faults.Add(rr.Faults)
-		if rr.Elapsed > rep.Elapsed {
-			rep.Elapsed = rr.Elapsed
-		}
-		if rr.KVPeakUsage > rep.KVPeakUsage {
-			rep.KVPeakUsage = rr.KVPeakUsage
-		}
-		busy += rr.MeanUtilization * rr.Elapsed * float64(rr.GPUs)
-	}
-	if ro.pool != nil {
-		rep.Autoscale = ro.pool.finish(rep.Elapsed, ro.world)
-	}
-	if ro.breakers != nil {
-		trips := 0
-		for _, b := range ro.breakers {
-			trips += b.Trips()
-		}
-		ro.astats.BreakerTrips = trips
-	}
-	rep.Admission = ro.astats
-	if rep.Elapsed > 0 && rep.GPUs > 0 {
-		rep.MeanUtilization = busy / (rep.Elapsed * float64(rep.GPUs))
-	}
-	rep.BubbleRatio = 1 - rep.MeanUtilization
-	rep.Latency = metrics.Digest(records, cfg.SLO)
-	return &Result{
-		Report:   rep,
-		Replicas: results,
-		Shards:   ro.shards,
-		Records:  records,
-		Policy:   ro.policy.Name(),
-	}, nil
 }

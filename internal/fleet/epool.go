@@ -1,18 +1,28 @@
 package fleet
 
 import (
+	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/sim"
 )
 
+// replica lifecycle states of an elastic pool.
+const (
+	rIdle     = iota // provisioned but not serving (never started, or drained)
+	rWarming         // scale-up decided, weight load in progress
+	rActive          // serving traffic
+	rDraining        // scale-down decided, finishing resident work
+)
+
 // elasticPool owns the replica-lifecycle mechanics an autoscaled pool
 // needs: the per-replica state machine (idle / warming / active /
 // draining), the provisioned GPU-second spans, and the execution of
-// scale decisions. The online elastic router scales its whole fleet
-// with one; the disaggregated router scales its decode pool. A nil
-// pool means "static": every routable check passes and no accounting
-// happens, preserving the pre-policy code paths byte for byte.
+// scale decisions. The online router's policy layer scales its whole
+// fleet with one; the disaggregated router scales its decode pool. A
+// nil pool means "static": every routable check passes and no
+// accounting happens.
 type elasticPool struct {
 	as        *policy.Autoscaler
 	coldStart float64
@@ -29,10 +39,15 @@ type elasticPool struct {
 	stats metrics.AutoscaleStats
 }
 
-// newElasticPool provisions n replicas, the autoscaler's initial count
-// active and the rest idle. coldStart is the modeled weight-load delay
-// every scale-up pays.
-func newElasticPool(as *policy.Autoscaler, n int, coldStart float64) *elasticPool {
+// newElasticPool provisions n replicas of cfg, the autoscaler's initial
+// count active and the rest idle. Every scale-up pays the autoscaler's
+// ColdStart, or the modeled weight-load time of one replica when that
+// is zero.
+func newElasticPool(cfg core.Config, as *policy.Autoscaler, n int) *elasticPool {
+	coldStart := as.Config().ColdStart
+	if coldStart == 0 {
+		coldStart = faults.WeightReloadTime(cfg.Node, cfg.Spec, cfg.World)
+	}
 	ep := &elasticPool{
 		as:          as,
 		coldStart:   coldStart,
@@ -58,17 +73,37 @@ func (ep *elasticPool) routable(i int) bool {
 	return ep == nil || ep.state[i] == rActive
 }
 
-// counts returns the active and warming replica totals.
-func (ep *elasticPool) counts() (active, warming int) {
+// signals is the autoscaler's view of the pool with queued requests
+// outstanding; the SLO fields hold their neutral values.
+func (ep *elasticPool) signals(queued int) policy.Signals {
+	s := policy.Signals{Goodput: 1}
 	for _, st := range ep.state {
 		switch st {
 		case rActive:
-			active++
+			s.Active++
 		case rWarming:
-			warming++
+			s.Warming++
 		}
 	}
-	return
+	s.QueuePerReplica = float64(queued) / float64(max(s.Active, 1))
+	return s
+}
+
+// tick runs one autoscaler evaluation at the control timeline's current
+// instant: reap finished drains, scale by the autoscaler's decision on
+// the router's signals (each scale-up schedules activate(ctx, k) after
+// the cold start), and schedule the next tick, again, while more
+// requests are unresolved. load is the pool's live per-replica load.
+func (ep *elasticPool) tick(ctl *sim.Engine, load []Load, signals func() policy.Signals, ctx any, activate, again sim.EventFunc, more bool) {
+	now := float64(ctl.Now())
+	ep.reapDrains()
+	ep.stats.Ticks++
+	ep.scale(ep.as.Decide(now, signals()), now, load, func(k int) {
+		ctl.AtFunc(sim.Time(now+ep.coldStart), activate, ctx, k, 0)
+	})
+	if more {
+		ctl.AtFunc(ctl.Now()+ep.tickInterval(), again, ctx, 0, 0)
+	}
 }
 
 // provisioned counts replicas currently costing GPU time.
@@ -85,9 +120,9 @@ func (ep *elasticPool) provisioned() int {
 // scale executes one autoscaler decision at instant now: +delta
 // replicas start warming (idle first, then canceling drains; warm
 // schedules the activation event for each), -delta active replicas
-// start draining (fewest outstanding requests first, higher index on
-// ties; outstanding reports a replica's resident request count).
-func (ep *elasticPool) scale(delta int, now float64, outstanding func(int) int, warm func(k int)) {
+// start draining (fewest outstanding requests in load first, higher
+// index on ties).
+func (ep *elasticPool) scale(delta int, now float64, load []Load, warm func(k int)) {
 	for ; delta > 0; delta-- {
 		k := -1
 		for i := range ep.state {
@@ -128,7 +163,7 @@ func (ep *elasticPool) scale(delta int, now float64, outstanding func(int) int, 
 			if ep.state[i] != rActive {
 				continue
 			}
-			if k < 0 || outstanding(i) < outstanding(k) {
+			if k < 0 || load[i].Requests < load[k].Requests {
 				k = i
 			}
 		}
@@ -136,7 +171,7 @@ func (ep *elasticPool) scale(delta int, now float64, outstanding func(int) int, 
 			break
 		}
 		ep.stats.ScaleDowns++
-		if outstanding(k) == 0 {
+		if load[k].Requests == 0 {
 			ep.closeSpan(k, now)
 		} else {
 			ep.state[k] = rDraining

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -290,5 +291,51 @@ func TestRunDisaggFaultsDeterministic(t *testing.T) {
 			t.Fatalf("run %d differs", run)
 		}
 		prev = b
+	}
+}
+
+// A plan drawn for one fleet size must not run on another: crashes
+// aimed at replicas the fleet does not have would otherwise be skipped
+// silently (online) or index past a pool (disagg). Both routers reject
+// an active mismatched plan before building any engine; an inactive
+// plan is an absent layer and runs whatever its size.
+func TestPlanFleetMismatchRejected(t *testing.T) {
+	cfg := fastConfig(2)
+	reqs := faultTrace(40, 29)
+	fc := faults.Config{Seed: 4, Horizon: 0.2, MTBF: 0.02, RestartDelay: 0.01}
+	active, err := faults.NewPlan(fc, 8, fc.RestartDelay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inactive, err := faults.NewPlan(faults.Config{Seed: 4}, 8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	online := func(plan *faults.Plan) error {
+		_, err := RunOnlineFaults(cfg, 2, mustPolicy(t, LeastWork, Options{}), reqs, plan)
+		return err
+	}
+	disagg := func(plan *faults.Plan) error {
+		_, err := RunDisaggFaults(cfg, DisaggConfig{PrefillReplicas: 1, DecodeReplicas: 1}, reqs, plan)
+		return err
+	}
+	for _, tc := range []struct {
+		name     string
+		run      func(*faults.Plan) error
+		plan     *faults.Plan
+		mismatch bool
+	}{
+		{"online/active", online, active, true},
+		{"online/inactive", online, inactive, false},
+		{"disagg/active", disagg, active, true},
+		{"disagg/inactive", disagg, inactive, false},
+	} {
+		err := tc.run(tc.plan)
+		if tc.mismatch && !errors.Is(err, ErrPlanFleetMismatch) {
+			t.Errorf("%s: err = %v, want ErrPlanFleetMismatch", tc.name, err)
+		}
+		if !tc.mismatch && err != nil {
+			t.Errorf("%s: unexpected error %v", tc.name, err)
+		}
 	}
 }

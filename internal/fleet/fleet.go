@@ -95,8 +95,10 @@ type Result struct {
 	Shards []Shard
 	// Records holds the merged per-request records, indexed by the
 	// request's position in the dispatched trace (record ID == trace
-	// index). The merge is deterministic and conservation-checked:
-	// every trace position is covered by exactly one replica record.
+	// index), each taken from the replica that last served the
+	// request. The merge is deterministic and conservation-checked:
+	// every trace position finished exactly once, or was dropped and
+	// holds an unfinished zero record.
 	Records []metrics.RequestRecord
 	// Policy is the dispatch policy name.
 	Policy string
@@ -132,110 +134,27 @@ func Run(cfg core.Config, replicas int, p Policy, reqs []workload.Request) (*Res
 			return nil, fmt.Errorf("fleet: replica %d: %w", i, err)
 		}
 	}
-	res, err := assemble(cfg, "Fleet", p.Name(), results, shards, len(reqs))
-	if err == nil {
-		// Offline replicas own their engines, so per-replica step
-		// counts sum without double counting.
-		for _, r := range results {
-			res.Steps += r.Steps
-		}
-	}
-	return res, err
-}
-
-// assemble builds the merged fleet result from per-replica outcomes:
-// the aggregate report, the conservation check, and the record merge
-// with its latency digest. Shared by the offline pre-shard and the
-// online router.
-func assemble(cfg core.Config, mode, policy string, results []*core.Result, shards []Shard, n int) (*Result, error) {
-	res := &Result{
-		Report:   mergeReports(cfg, mode, policy, results),
-		Replicas: results,
-		Shards:   shards,
-		Policy:   policy,
-	}
-	if err := res.CheckConservation(n); err != nil {
+	res := &Result{Replicas: results, Shards: shards, Policy: p.Name()}
+	if err := res.CheckConservation(len(reqs)); err != nil {
 		return nil, err
 	}
-	records, err := mergeRecords(results, shards, n)
+	l := newLedger(reqs)
+	for i, sh := range shards {
+		for j, o := range sh.Origin {
+			l.land(o, i, j)
+			if results[i].Records[j].Finished() {
+				l.fin[o]++
+			}
+		}
+		// Offline replicas own their engines, so per-replica step
+		// counts sum without double counting.
+		res.Steps += results[i].Steps
+	}
+	res.Report, res.Records, err = l.assemble(cfg, fmt.Sprintf("Fleet(TD-Pipe/%s)x%d", p.Name(), replicas), results)
 	if err != nil {
 		return nil, err
 	}
-	res.Records = records
-	res.Report.Latency = metrics.Digest(records, cfg.SLO)
 	return res, nil
-}
-
-// mergeRecords folds per-replica request records into trace order:
-// replica-local record j of replica i lands at trace index
-// Shards[i].Origin[j]. It fails if the records do not exactly cover
-// the trace (the per-request conservation check).
-func mergeRecords(results []*core.Result, shards []Shard, n int) ([]metrics.RequestRecord, error) {
-	out := make([]metrics.RequestRecord, n)
-	seen := make([]bool, n)
-	for i, r := range results {
-		if len(r.Records) != len(shards[i].Origin) {
-			return nil, fmt.Errorf("fleet: replica %d has %d records for %d requests",
-				i, len(r.Records), len(shards[i].Origin))
-		}
-		for j, rec := range r.Records {
-			o := shards[i].Origin[j]
-			if o < 0 || o >= n {
-				return nil, fmt.Errorf("fleet: replica %d record %d has origin %d outside trace of %d", i, j, o, n)
-			}
-			if seen[o] {
-				return nil, fmt.Errorf("fleet: trace request %d recorded by multiple replicas", o)
-			}
-			seen[o] = true
-			rec.ID = o
-			out[o] = rec
-		}
-	}
-	for o, ok := range seen {
-		if !ok {
-			return nil, fmt.Errorf("fleet: trace request %d has no record", o)
-		}
-	}
-	return out, nil
-}
-
-// mergeReports folds per-replica reports into the fleet aggregate.
-// mode labels the scheduler ("Fleet" for pre-sharded offline runs,
-// "FleetOnline" for the shared-clock router).
-func mergeReports(cfg core.Config, mode, policy string, results []*core.Result) metrics.Report {
-	rep := metrics.Report{
-		Scheduler: fmt.Sprintf("%s(TD-Pipe/%s)x%d", mode, policy, len(results)),
-		Node:      cfg.Node.Name,
-		Model:     cfg.Spec.Name,
-		GPUs:      cfg.World * len(results),
-	}
-	var busy float64
-	for _, r := range results {
-		rr := r.Report
-		rep.Requests += rr.Requests
-		rep.InputTokens += rr.InputTokens
-		rep.OutputTokens += rr.OutputTokens
-		rep.PhaseSwitches += rr.PhaseSwitches
-		rep.Recomputes += rr.Recomputes
-		rep.PrefixCachedTokens += rr.PrefixCachedTokens
-		if rr.Elapsed > rep.Elapsed {
-			rep.Elapsed = rr.Elapsed
-		}
-		if rr.KVPeakUsage > rep.KVPeakUsage {
-			rep.KVPeakUsage = rr.KVPeakUsage
-		}
-		busy += rr.MeanUtilization * rr.Elapsed * float64(rr.GPUs)
-	}
-	if len(results) == 1 {
-		// A single-replica fleet is the lone engine; copy its
-		// utilization rather than round-tripping through the weighted
-		// average (which costs one ulp).
-		rep.MeanUtilization = results[0].Report.MeanUtilization
-	} else if rep.Elapsed > 0 && rep.GPUs > 0 {
-		rep.MeanUtilization = busy / (rep.Elapsed * float64(rep.GPUs))
-	}
-	rep.BubbleRatio = 1 - rep.MeanUtilization
-	return rep
 }
 
 // CheckConservation verifies that each of n dispatched requests was

@@ -6,6 +6,11 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/costmodel"
+	"repro/internal/faults"
+	"repro/internal/kvcache"
+	"repro/internal/metrics"
+	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -18,6 +23,13 @@ import (
 // reorder the trace behind the caller's back.
 var ErrInvalidArrival = errors.New("fleet: invalid arrival time")
 
+// ErrPlanFleetMismatch reports an active fault plan drawn for a fleet
+// of a different size than the one it is run on. Crashes aimed at
+// replicas the fleet does not have would otherwise be skipped or hit
+// the wrong pool, so both routers reject the plan (wrapped with both
+// sizes) before any engine is built.
+var ErrPlanFleetMismatch = errors.New("fleet: fault plan drawn for a different fleet size")
+
 // validateArrivals rejects traces with negative or NaN arrival stamps.
 // Closed-loop traces (all zeros) pass: zero is a valid instant.
 func validateArrivals(reqs []workload.Request) error {
@@ -27,6 +39,40 @@ func validateArrivals(reqs []workload.Request) error {
 		}
 	}
 	return nil
+}
+
+// checkPlan rejects an active plan whose fleet size differs from the
+// fleet's.
+func checkPlan(plan *faults.Plan, replicas int) error {
+	if plan != nil && plan.Replicas != replicas {
+		return fmt.Errorf("%w: plan covers %d replicas, fleet has %d", ErrPlanFleetMismatch, plan.Replicas, replicas)
+	}
+	return nil
+}
+
+// replicaConfig specializes the fleet config for replica i under a
+// fault plan: stragglers get their slowdown factor, and the checkpoint
+// cadence is switched on fleet-wide.
+func replicaConfig(cfg core.Config, plan *faults.Plan, i int) core.Config {
+	if plan == nil {
+		return cfg
+	}
+	if f := plan.SlowdownFor(i); f > 0 {
+		cfg.Slowdown = f
+	}
+	if ci := plan.Config.CheckpointInterval; ci > 0 {
+		cfg.CheckpointInterval = ci
+	}
+	return cfg
+}
+
+// kvBlockBytes is the KV footprint of one block across the model.
+func kvBlockBytes(cfg core.Config) float64 {
+	bs := cfg.BlockSize
+	if bs <= 0 {
+		bs = kvcache.DefaultBlockSize
+	}
+	return float64(bs) * cfg.Spec.KVBytesPerToken()
 }
 
 // RunOnline serves an arrival-stamped trace as an online router: every
@@ -53,6 +99,64 @@ func RunOnline(cfg core.Config, replicas int, p Policy, reqs []workload.Request)
 // picks GOMAXPROCS for fleets of at least AutoWorkerThreshold
 // replicas. Reports are byte-identical across worker counts.
 func RunOnlineWorkers(cfg core.Config, replicas int, p Policy, reqs []workload.Request, workers int) (*Result, error) {
+	return runOnline(cfg, replicas, p, reqs, nil, nil, workers)
+}
+
+// pendingRec is one dispatchable unit: a fresh arrival or a crash-lost
+// request awaiting re-dispatch (its checkpoint, if any, rides along).
+type pendingRec struct {
+	origin int
+	fresh  bool
+	lost   core.Lost
+}
+
+// router is the online router: one replica pool on the fabric, with an
+// optional fault layer (plan: crash, restore and checkpoint-resume
+// events, faults.go) and an optional policy layer (stack: admission,
+// retry, breakers, preemption and the autoscaler tick, elastic.go). An
+// absent layer schedules no events and adds no routing filter. Every
+// intervention executes on the control timeline; only the engines'
+// finish hooks run on shard goroutines, and those touch replica- and
+// request-indexed slots exclusively.
+type router struct {
+	book
+	ledger
+	ctl *sim.Engine
+	// plan is nil without a fault layer.
+	plan *faults.Plan
+	// queued holds requests that found no live replica, dispatched
+	// again at the next restore.
+	queued []pendingRec
+	// items holds checkpoint restores in flight (KV reloading from
+	// stable storage before re-import).
+	items      []pendingRec
+	blockBytes float64
+	xferTime   func(bytes float64) float64
+	fstats     metrics.FaultStats
+
+	// stack is nil without a policy layer.
+	stack *policy.Stack
+	// pool owns the replica lifecycle and GPU-second accounting; nil
+	// when no autoscaler is attached (the fleet stays static).
+	pool *elasticPool
+	// winTTFT[i] collects replica i's completion TTFTs since the last
+	// autoscale tick (shard-written, coordinator-drained).
+	winTTFT [][]float64
+	ttftSLO float64
+	astats  metrics.AdmissionStats
+
+	err error
+}
+
+// runOnline serves reqs on replicas engines of cfg under dispatch
+// policy p. A nil or inactive plan or stack is an absent layer.
+func runOnline(cfg core.Config, replicas int, p Policy, reqs []workload.Request, plan *faults.Plan, stack *policy.Stack, workers int) (*Result, error) {
+	if !plan.Active() {
+		plan = nil
+	}
+	if !stack.Active() {
+		stack = nil
+	}
 	if replicas <= 0 {
 		return nil, fmt.Errorf("fleet: replicas = %d", replicas)
 	}
@@ -62,162 +166,202 @@ func RunOnlineWorkers(cfg core.Config, replicas int, p Policy, reqs []workload.R
 	if err := validateArrivals(reqs); err != nil {
 		return nil, err
 	}
+	if err := checkPlan(plan, replicas); err != nil {
+		return nil, err
+	}
+	ro := &router{
+		ledger:     newLedger(reqs),
+		plan:       plan,
+		blockBytes: kvBlockBytes(cfg),
+		xferTime:   costmodel.KVTransfer(cfg.Node),
+		stack:      stack,
+		ttftSLO:    cfg.SLO.TTFT,
+	}
+	var breakers *policy.BreakerConfig
+	if stack != nil {
+		if as := stack.Autoscaler; as != nil {
+			if m := as.Config().Max; m > replicas {
+				return nil, fmt.Errorf("fleet: autoscaler Max %d exceeds provisioned replicas %d", m, replicas)
+			}
+			ro.pool = newElasticPool(cfg, as, replicas)
+			if tt := as.Config().TTFTTarget; tt > 0 {
+				ro.ttftSLO = tt
+			}
+		}
+		ro.winTTFT = make([][]float64, replicas)
+		breakers = stack.Breaker
+	}
 	fab := newFabric(ResolveWorkers(workers, replicas))
 	fab.addTier(0, replicas)
-	engines := make([]*core.Engine, replicas)
-	for i := range engines {
-		e, err := core.NewEngine(fab.engineFor(i), cfg)
-		if err != nil {
-			for _, prev := range engines[:i] {
-				prev.Shutdown()
-			}
-			return nil, fmt.Errorf("fleet: replica %d: %w", i, err)
-		}
-		if err := e.StartOnline(); err != nil {
-			e.Shutdown()
-			for _, prev := range engines[:i] {
-				prev.Shutdown()
-			}
-			return nil, fmt.Errorf("fleet: replica %d: %w", i, err)
-		}
-		engines[i] = e
+	ro.ctl = fab.ctl
+	engines, err := startEngines(fab, replicas, func(i int) core.Config { return replicaConfig(cfg, plan, i) })
+	if err != nil {
+		return nil, err
 	}
-	router := &onlineRouter{
-		policy:      p,
-		engines:     engines,
-		reqs:        reqs,
-		shards:      make([]Shard, replicas),
-		outstanding: make([]Load, replicas),
-		entries:     make([][]loadEntry, replicas),
-		loads:       make([]Load, replicas),
-	}
+	ro.book = newBook(p, engines, breakers)
 	for i := range engines {
 		i := i
-		engines[i].SetOnFinish(func(local int) { router.finished(i, local) })
+		engines[i].SetOnFinish(func(local int) { ro.finished(i, local) })
 	}
 	// One control event per request at its arrival instant, scheduled
 	// in (arrival, trace index) order so simultaneous arrivals route in
 	// trace order. AtFunc carries the trace index, so arrivals cost no
 	// closure.
 	for _, idx := range workload.SortByArrival(reqs) {
-		fab.ctl.AtFunc(sim.Time(reqs[idx].ArrivalTime), routeEvent, router, idx, 0)
+		fab.ctl.AtFunc(sim.Time(reqs[idx].ArrivalTime), admitEvent, ro, idx, 0)
+	}
+	if plan != nil {
+		for ci, c := range plan.Crashes {
+			fab.ctl.AtFunc(sim.Time(c.At), crashEvent, ro, ci, 0)
+			fab.ctl.AtFunc(sim.Time(c.RestartAt), restoreEvent, ro, ci, 0)
+		}
+	}
+	if ro.pool != nil {
+		fab.ctl.AtFunc(ro.pool.tickInterval(), tickEvent, ro, 0, 0)
 	}
 	fab.start()
 	defer fab.stopWorkers()
 	fab.run()
-	if router.err != nil {
-		for _, e := range engines {
-			e.Shutdown()
+	if ro.err == nil {
+		for _, q := range ro.queued {
+			ro.drop(q.origin, "no live replica")
 		}
-		return nil, router.err
 	}
-	// Finalize every engine even after a failure: Finalize shuts the
-	// replica's worker cluster down, and skipping the rest would leak
-	// their worker goroutines.
-	results := make([]*core.Result, replicas)
-	var ferr error
-	for i, e := range engines {
-		res, err := e.Finalize()
-		if err != nil && ferr == nil {
-			ferr = fmt.Errorf("fleet: replica %d: %w", i, err)
-		}
-		results[i] = res
+	results, err := finalize(engines, ro.err)
+	if err != nil {
+		return nil, err
 	}
-	if ferr != nil {
-		return nil, ferr
-	}
-	res, err := assemble(cfg, "FleetOnline", p.Name(), results, router.shards, len(reqs))
+	res, err := ro.result(cfg, results)
 	if err == nil {
 		res.Steps = fab.Steps()
 	}
 	return res, err
 }
 
-// loadEntry is one routed request's contribution to its replica's load
-// counters, subtracted when the engine reports it finished.
-type loadEntry struct {
-	inputTokens int
-	cost        float64
-}
-
-// onlineRouter routes arrivals to replica engines inside the shared
-// simulation.
-type onlineRouter struct {
-	policy  Policy
-	engines []*core.Engine
-	reqs    []workload.Request
-	shards  []Shard
-	// outstanding[i] is replica i's live load, maintained
-	// incrementally: route adds, the engine's finish hook subtracts.
-	outstanding []Load
-	// entries[i][local] is the load contribution of replica i's local
-	// request local.
-	entries [][]loadEntry
-	// loads is the per-arrival snapshot buffer handed to Policy.Pick,
-	// reused across arrivals.
-	loads []Load
-	err   error
-}
-
-// routeEvent fires at a request's arrival instant (scheduled via
-// AtFunc: ctx is the router, a the trace index).
-func routeEvent(ctx any, idx, _ int) {
-	ro := ctx.(*onlineRouter)
-	ro.route(ro.reqs[idx], idx)
-}
-
-// route dispatches one request at its arrival instant.
-func (ro *onlineRouter) route(r workload.Request, origin int) {
-	if ro.err != nil {
+// dispatch routes one request to a live, routable replica: fresh
+// arrivals submit normally, crash-lost requests resume via
+// SubmitRecovered. With no candidate the policy layer re-admits the
+// request on its backoff schedule; otherwise it queues until a restart.
+func (ro *router) dispatch(pr pendingRec) {
+	r := ro.reqs[pr.origin]
+	now := float64(ro.ctl.Now())
+	ro.snapshot(r, nil, now)
+	k, err := ro.pick(r, now)
+	switch {
+	case err != nil:
+		ro.err = err
+		return
+	case k < 0 && ro.stack != nil:
+		ro.requeue(pr.origin, "no routable replica")
+		return
+	case k < 0:
+		ro.queued = append(ro.queued, pr)
 		return
 	}
-	k := ro.policy.Pick(r, ro.snapshot(r))
-	if k < 0 || k >= len(ro.engines) {
-		ro.err = fmt.Errorf("fleet: policy %q picked replica %d of %d", ro.policy.Name(), k, len(ro.engines))
-		return
+	var local int
+	if pr.fresh {
+		local, err = ro.engines[k].Submit(r)
+	} else {
+		local, err = ro.engines[k].SubmitRecovered(r, pr.lost.Generated, pr.lost.FirstTokenAt)
 	}
-	cost := ro.policy.Cost(r)
-	local, err := ro.engines[k].Submit(r)
 	if err != nil {
-		ro.err = fmt.Errorf("fleet: replica %d rejected request %d: %w", k, origin, err)
+		// A layered run may lose requests, but never silently: an
+		// unservable request drops with a reason. The bare router
+		// fails the run instead.
+		if (ro.plan != nil || ro.stack != nil) && errors.Is(err, core.ErrRequestTooLarge) {
+			ro.drop(pr.origin, err.Error())
+			return
+		}
+		ro.err = fmt.Errorf("fleet: replica %d rejected request %d: %w", k, pr.origin, err)
 		return
+	}
+	if ro.stack != nil && ro.stack.Preemption != nil && r.Priority == 0 {
+		// The preemptor is already queued ahead; victims requeue
+		// behind it for recompute.
+		victims := ro.engines[k].PreemptLowPriority(ro.stack.Preemption.Evictable(), r.InputLen)
+		ro.astats.Preemptions += len(victims)
 	}
 	// Submit only schedules simulation events, so the finish hook
-	// cannot fire before the entry lands below.
-	ro.entries[k] = append(ro.entries[k], loadEntry{inputTokens: r.InputLen, cost: cost})
-	ro.outstanding[k].Requests++
-	ro.outstanding[k].InputTokens += r.InputLen
-	ro.outstanding[k].CostTokens += cost
-	routed := r
-	routed.ID = local
-	ro.shards[k].Reqs = append(ro.shards[k].Reqs, routed)
-	ro.shards[k].Origin = append(ro.shards[k].Origin, origin)
+	// cannot fire before the booking below.
+	ro.add(r, pr.origin, k, local)
+	ro.land(pr.origin, k, local)
 }
 
-// snapshot fills the reusable load view for routing r right now: the
-// incrementally maintained outstanding counters plus two live probes of
-// each replica's KV pool — how much of r's shared prefix is resident
-// (warm blocks included, so affinity survives request completion) and
-// the free-KV headroom pool-aware policies rank on.
+// snapshot offers every replica that may take r right now, with two
+// live probes of its KV pool: how much of r's shared prefix is
+// resident (warm blocks included, so affinity survives request
+// completion) and the free-KV headroom pool-aware policies rank on.
+// With a checkpoint ck the request re-imports its KV instead, so only
+// replicas that can receive and hold it qualify — a replica inside a
+// network domain outage keeps serving but cannot receive KV — and
+// warmth is the resident share of the checkpointed blocks.
 //
 //det:hotpath
-func (ro *onlineRouter) snapshot(r workload.Request) []Load {
-	for i := range ro.engines {
-		l := ro.outstanding[i]
-		l.WarmTokens = ro.engines[i].PrefixWarmTokens(r)
-		l.FreeKVTokens = ro.engines[i].FreeKVTokens()
-		ro.loads[i] = l
+func (ro *router) snapshot(r workload.Request, ck *core.Checkpoint, now float64) {
+	for i, e := range ro.engines {
+		if !e.Alive() || !ro.pool.routable(i) {
+			continue
+		}
+		if ck != nil {
+			if e.CanImportKV(ck.KV) && !ro.plan.PartitionedAt(i, now) {
+				ro.offer(i, e.ResidentKVTokens(ck.KV))
+			}
+			continue
+		}
+		if ro.tripped(i, now) {
+			ro.astats.BreakerSkips++
+			continue
+		}
+		ro.offer(i, e.PrefixWarmTokens(r))
 	}
-	return ro.loads
 }
 
-// finished is the engines' completion hook: it retires the request's
-// contribution from its replica's counters in O(1).
+// finished is the engines' completion hook: it retires the request
+// from its replica's counters in O(1) and counts the terminal finish.
 //
 //det:hotpath
-func (ro *onlineRouter) finished(replica, local int) {
-	en := ro.entries[replica][local]
-	ro.outstanding[replica].Requests--
-	ro.outstanding[replica].InputTokens -= en.inputTokens
-	ro.outstanding[replica].CostTokens -= en.cost
+func (ro *router) finished(replica, local int) {
+	ro.fin[ro.retire(replica, local)]++
+	if ro.stack != nil {
+		ro.observe(replica, local)
+	}
+}
+
+// result assembles the run: conservation, records and the fleet
+// report, plus each present layer's accounting.
+func (ro *router) result(cfg core.Config, results []*core.Result) (*Result, error) {
+	mode := "FleetOnline"
+	switch {
+	case ro.plan != nil:
+		mode = "FleetFaults"
+	case ro.stack != nil:
+		mode = "FleetElastic"
+	}
+	res := &Result{Replicas: results, Shards: ro.shards, Policy: ro.policy.Name()}
+	if ro.plan == nil && ro.stack == nil {
+		// Without layers nothing is re-dispatched or dropped, so each
+		// replica must have completed exactly its shard.
+		if err := res.CheckConservation(len(ro.reqs)); err != nil {
+			return nil, err
+		}
+	}
+	rep, records, err := ro.assemble(cfg, fmt.Sprintf("%s(TD-Pipe/%s)x%d", mode, ro.policy.Name(), len(results)), results)
+	if err != nil {
+		return nil, err
+	}
+	if ro.plan != nil {
+		ro.fstats.Dropped = ro.dropped
+		ro.fstats.DomainOutages = len(ro.plan.Domains)
+		rep.Faults.Add(ro.fstats)
+	}
+	if ro.stack != nil {
+		if ro.pool != nil {
+			rep.Autoscale = ro.pool.finish(rep.Elapsed, cfg.World)
+		}
+		ro.astats.Dropped = ro.dropped
+		ro.astats.BreakerTrips = ro.trips()
+		rep.Admission = ro.astats
+	}
+	res.Report, res.Records = rep, records
+	return res, nil
 }

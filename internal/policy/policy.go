@@ -23,8 +23,8 @@
 //     eviction-recompute path.
 //
 // A Stack composes any subset. The zero/nil stack is inactive: routers
-// take their exact pre-policy code path, byte-for-byte (enforced by the
-// fleet determinism suite).
+// treat it as an absent policy layer, so results are byte-identical to
+// a policy-free run (enforced by the fleet golden matrix).
 package policy
 
 // Stack bundles the front-door policies and the autoscaler one router
@@ -48,9 +48,9 @@ type Stack struct {
 	Preemption *PreemptionConfig
 }
 
-// Active reports whether any component is configured. Inactive stacks
-// (nil, or no components) make routers take the exact policy-free code
-// path, preserving byte-identical reports.
+// Active reports whether any component is configured. Routers treat
+// an inactive stack (nil, or no components) as an absent policy layer,
+// preserving byte-identical reports.
 func (s *Stack) Active() bool {
 	return s != nil && (s.Admission != nil || s.Retry != nil || s.Breaker != nil ||
 		s.Autoscaler != nil || s.Preemption != nil)
