@@ -1190,7 +1190,12 @@ func (e *Engine) onDecodeDone(slot, ep int, res runtime.PassResult) {
 	e.submitDecode(slot, res.End)
 }
 
-// shouldSwitchToPrefill evaluates the decode->prefill switch rule.
+// shouldSwitchToPrefill evaluates the decode->prefill switch rule. It
+// runs once per decode step, so its cost must not grow with the waiting
+// queue: packPendingPrefills stops reading the queue once the preview
+// and its threshold are settled.
+//
+//det:hotpath
 func (e *Engine) shouldSwitchToPrefill(slot int) bool {
 	if e.cfg.FixedDecodeSwitchRatio > 0 {
 		if float64(e.decodeFinished) < e.cfg.FixedDecodeSwitchRatio*float64(e.decodeInitial) {
@@ -1208,30 +1213,37 @@ func (e *Engine) shouldSwitchToPrefill(slot int) bool {
 	pending := e.packPendingPrefills()
 	feasiblePeak := e.capacityTokens / (e.numSlots * avgCtx)
 	si := e.inten.Spatial(avgBatch, avgCtx, feasiblePeak)
-	ti := e.inten.Temporal(pending, e.cluster.Cost.DecodeBottleneck(e.cluster.Plan, avgBatch, avgBatch*avgCtx), e.numSlots)
+	ti := e.inten.Temporal(pending, e.inten.pipe.DecodeBottleneck(avgBatch, avgBatch*avgCtx), e.numSlots)
 	return e.inten.ShouldSwitch(si, ti)
 }
 
 // residentLoad sums live decode requests and their cached tokens across
 // batches and the stash.
+//
+//det:hotpath
 func (e *Engine) residentLoad() (n, kvTokens int) {
-	count := func(ids []int) {
-		for _, id := range ids {
-			st := e.states[id]
-			if st.done || st.evicted {
-				continue
-			}
-			n++
-			kvTokens += st.ctx
-		}
-	}
 	for _, b := range e.batches {
-		count(b)
+		n, kvTokens = e.countLive(b, n, kvTokens)
 	}
-	count(e.stealer.stash)
-	count(e.decodePool)
-	count(e.imported)
-	return
+	n, kvTokens = e.countLive(e.stealer.stash, n, kvTokens)
+	n, kvTokens = e.countLive(e.decodePool, n, kvTokens)
+	return e.countLive(e.imported, n, kvTokens)
+}
+
+// countLive adds the requests of ids that are neither done nor evicted,
+// and their cached tokens, to the running totals n and kvTokens.
+//
+//det:hotpath
+func (e *Engine) countLive(ids []int, n, kvTokens int) (int, int) {
+	for _, id := range ids {
+		st := e.states[id]
+		if st.done || st.evicted {
+			continue
+		}
+		n++
+		kvTokens += st.ctx
+	}
+	return n, kvTokens
 }
 
 // packPendingPrefills previews the prefill batches launchable with the
@@ -1239,52 +1251,58 @@ func (e *Engine) residentLoad() (n, kvTokens int) {
 // free memory cannot hold a meaningful amount of prefill work — one
 // full batch, or all of the remaining waiting set if smaller. The
 // returned slice shares a recycled buffer, valid until the next call.
+//
+// Both scans stop early: packing at the first request that does not
+// fit, and the threshold sum once it reaches MaxPrefillTokens, so the
+// cost is bounded by free KV and the batch size, not by the queue.
+//
+//det:hotpath
 func (e *Engine) packPendingPrefills() []costmodel.PrefillBatch {
 	free := e.kv.FreeBlocks() * e.kv.BlockSize()
-	var batches []costmodel.PrefillBatch
-	var lens []int
+	var batchScratch []costmodel.PrefillBatch
+	var lenScratch []int
 	if scratchReuse {
-		batches = e.packBatches[:0]
-		lens = e.packLens[:0]
+		batchScratch = e.packBatches[:0]
+		lenScratch = e.packLens[:0]
 	}
 	tokens := 0
 	packed := 0
-	waitingTokens := 0
-	for i := 0; i < e.waiting.Len(); i++ {
-		waitingTokens += e.states[e.waiting.At(i)].prefillLen
-	}
 	for i := 0; i < e.waiting.Len(); i++ {
 		need := e.states[e.waiting.At(i)].prefillLen
 		if packed+need > free {
 			break
 		}
 		packed += need
-		lens = append(lens, need)
+		lenScratch = append(lenScratch, need)
 		tokens += need
 		if tokens >= e.cfg.MaxPrefillTokens {
-			batches = append(batches, costmodel.NewPrefillBatch(lens))
+			batchScratch = append(batchScratch, costmodel.NewPrefillBatch(lenScratch))
 			if scratchReuse {
-				lens, tokens = lens[:0], 0
+				lenScratch, tokens = lenScratch[:0], 0
 			} else {
-				lens, tokens = nil, 0
+				lenScratch, tokens = nil, 0
 			}
 		}
 	}
-	if len(lens) > 0 {
-		batches = append(batches, costmodel.NewPrefillBatch(lens))
+	if len(lenScratch) > 0 {
+		batchScratch = append(batchScratch, costmodel.NewPrefillBatch(lenScratch))
 	}
 	if scratchReuse {
-		e.packBatches = batches
-		e.packLens = lens[:0]
+		e.packBatches = batchScratch
+		e.packLens = lenScratch[:0]
 	}
-	min := e.cfg.MaxPrefillTokens
-	if waitingTokens < min {
-		min = waitingTokens
+	// The preview must hold min(MaxPrefillTokens, waiting tokens).
+	// Prefill lengths are non-negative, so a prefix sum that reaches
+	// MaxPrefillTokens already settles the minimum.
+	threshold := 0
+	for i := 0; i < e.waiting.Len() && threshold < e.cfg.MaxPrefillTokens; i++ {
+		threshold += e.states[e.waiting.At(i)].prefillLen
 	}
-	if packed < min {
+	threshold = min(threshold, e.cfg.MaxPrefillTokens)
+	if packed < threshold {
 		return nil
 	}
-	return batches
+	return batchScratch
 }
 
 // handleOOM evicts recently admitted requests to make room for the

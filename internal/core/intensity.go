@@ -17,15 +17,14 @@ import (
 // Intensity evaluates both intensities from the profiled cost model —
 // the same way the real system derives them from on-device profiling.
 type Intensity struct {
-	cm        *costmodel.Model
-	plan      model.PipelinePlan
+	pipe      *costmodel.Pipeline
 	peakBatch int
 }
 
 // NewIntensity profiles with peakBatch as the "sufficiently large batch
 // size" for Peak.
 func NewIntensity(cm *costmodel.Model, plan model.PipelinePlan, peakBatch int) *Intensity {
-	return &Intensity{cm: cm, plan: plan, peakBatch: peakBatch}
+	return &Intensity{pipe: cm.Pipeline(plan), peakBatch: peakBatch}
 }
 
 // perRequestRate is the profiled reciprocal of average execution time
@@ -35,7 +34,7 @@ func (x *Intensity) perRequestRate(batch, avgCtx int) float64 {
 	if batch <= 0 {
 		return 0
 	}
-	t := x.cm.DecodeBottleneck(x.plan, batch, batch*avgCtx)
+	t := x.pipe.DecodeBottleneck(batch, batch*avgCtx)
 	if t <= 0 {
 		return 0
 	}
@@ -79,7 +78,7 @@ func (x *Intensity) Temporal(pending []costmodel.PrefillBatch, decodeStep float6
 	}
 	var longest, total float64
 	for _, b := range pending {
-		t := x.cm.PrefillBottleneck(x.plan, b)
+		t := x.pipe.PrefillBottleneck(b)
 		total += t
 		if t > longest {
 			longest = t

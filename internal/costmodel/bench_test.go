@@ -10,7 +10,7 @@ import (
 // The cost model sits on every scheduling decision's hot path; these
 // benchmarks track its per-call cost.
 
-func benchModel(b *testing.B) (*Model, model.PipelinePlan) {
+func benchModel(b *testing.B) (*Model, *Pipeline) {
 	b.Helper()
 	cm, err := New(hw.A100, model.Llama2_70B)
 	if err != nil {
@@ -20,34 +20,34 @@ func benchModel(b *testing.B) (*Model, model.PipelinePlan) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return cm, plan
+	return cm, cm.Pipeline(plan)
 }
 
 func BenchmarkPrefillStage(b *testing.B) {
 	b.ReportAllocs()
-	cm, plan := benchModel(b)
+	_, pipe := benchModel(b)
 	batch := NewPrefillBatch([]int{512, 256, 1024, 300})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = cm.PrefillStage(plan, 1, batch)
+		_ = pipe.PrefillStage(1, batch)
 	}
 }
 
 func BenchmarkDecodeStage(b *testing.B) {
 	b.ReportAllocs()
-	cm, plan := benchModel(b)
+	_, pipe := benchModel(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = cm.DecodeStage(plan, 2, 200, 200*500)
+		_ = pipe.DecodeStage(2, 200, 200*500)
 	}
 }
 
 func BenchmarkDecodeBottleneck(b *testing.B) {
 	b.ReportAllocs()
-	cm, plan := benchModel(b)
+	_, pipe := benchModel(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = cm.DecodeBottleneck(plan, 200, 200*500)
+		_ = pipe.DecodeBottleneck(200, 200*500)
 	}
 }
 

@@ -106,13 +106,44 @@ func NewPrefillBatch(lens []int) PrefillBatch {
 	return b
 }
 
+// stage holds the constants of one pipeline stage: the values a
+// stage-time evaluation needs that depend only on the model spec and
+// the pipeline plan.
+type stage struct {
+	layers  int
+	hasHead bool
+	// weightBytes is the stage's weight footprint, streamed once per
+	// pass.
+	weightBytes float64
+	// dense is Spec.DenseFLOPsPerTokenLayer.
+	dense float64
+	// kvLayer is Spec.KVBytesPerTokenLayer.
+	kvLayer float64
+}
+
+// newStage derives stage st of plan under spec s: layers, head flag and
+// weight bytes come from the plan (as PipelinePlan.StageWeightBytes
+// computes them), the per-layer FLOP and KV constants from s.
+func newStage(s model.Spec, plan *model.PipelinePlan, st int) stage {
+	return stage{
+		layers:      plan.Stages[st].Layers,
+		hasHead:     plan.Stages[st].HasHead,
+		weightBytes: plan.StageWeightBytes(st),
+		dense:       s.DenseFLOPsPerTokenLayer(),
+		kvLayer:     s.KVBytesPerTokenLayer(),
+	}
+}
+
 // flops/bytes helpers -------------------------------------------------
 
-// prefillComputeFLOPs is the compute for nLayers layers over batch b,
-// plus optional LM-head GEMM for the sequences' final positions.
-func (c *Model) prefillComputeFLOPs(b PrefillBatch, nLayers int, hasHead bool) float64 {
-	s := c.Spec
-	dense := float64(b.Tokens) * s.DenseFLOPsPerTokenLayer()
+// prefillComputeFLOPs is the compute for nLayers layers of dense
+// FLOPs per token and layer over batch b, plus the LM-head GEMM for the
+// sequences' final positions when hasHead.
+//
+//det:hotpath
+func (c *Model) prefillComputeFLOPs(b PrefillBatch, nLayers int, densePerToken float64, hasHead bool) float64 {
+	s := &c.Spec
+	dense := float64(b.Tokens) * densePerToken
 	attn := 2 * float64(s.Hidden) * b.SumSqTokens // causal: ~s^2/2 pairs, 4 FLOPs each
 	f := float64(nLayers) * (dense + attn)
 	if hasHead {
@@ -122,19 +153,24 @@ func (c *Model) prefillComputeFLOPs(b PrefillBatch, nLayers int, hasHead bool) f
 }
 
 // prefillMemBytes is HBM traffic for a prefill pass: weights once,
-// activations ActIOFactor times per layer, fresh KV written once.
-func (c *Model) prefillMemBytes(b PrefillBatch, weightBytes float64, nLayers int) float64 {
-	s := c.Spec
-	act := c.P.ActIOFactor * float64(nLayers) * s.ActivationBytes(b.Tokens)
-	kvWrite := float64(nLayers) * s.KVBytesPerTokenLayer() * float64(b.Tokens)
+// activations ActIOFactor times per layer, fresh KV (kvLayer bytes per
+// token and layer) written once.
+//
+//det:hotpath
+func (c *Model) prefillMemBytes(b PrefillBatch, weightBytes, kvLayer float64, nLayers int) float64 {
+	act := c.P.ActIOFactor * float64(nLayers) * c.Spec.ActivationBytes(b.Tokens)
+	kvWrite := float64(nLayers) * kvLayer * float64(b.Tokens)
 	return weightBytes + act + kvWrite
 }
 
 // decodeComputeFLOPs is the compute for one decode step of batch
-// requests with kvTokens total context, over nLayers layers.
-func (c *Model) decodeComputeFLOPs(batch, kvTokens, nLayers int, hasHead bool) float64 {
-	s := c.Spec
-	dense := float64(batch) * s.DenseFLOPsPerTokenLayer()
+// requests with kvTokens total context over nLayers layers of dense
+// FLOPs per token and layer, plus the LM head when hasHead.
+//
+//det:hotpath
+func (c *Model) decodeComputeFLOPs(batch, kvTokens, nLayers int, densePerToken float64, hasHead bool) float64 {
+	s := &c.Spec
+	dense := float64(batch) * densePerToken
 	attn := 4 * float64(s.Hidden) * float64(kvTokens)
 	f := float64(nLayers) * (dense + attn)
 	if hasHead {
@@ -145,14 +181,17 @@ func (c *Model) decodeComputeFLOPs(batch, kvTokens, nLayers int, hasHead bool) f
 
 // decodeMemBytes is HBM traffic for one decode step: weights once, the
 // whole resident KV for these layers, activations.
-func (c *Model) decodeMemBytes(batch, kvTokens int, weightBytes float64, nLayers int) float64 {
-	s := c.Spec
-	kvRead := float64(nLayers) * s.KVBytesPerTokenLayer() * float64(kvTokens)
-	act := c.P.ActIOFactor * float64(nLayers) * s.ActivationBytes(batch)
+//
+//det:hotpath
+func (c *Model) decodeMemBytes(batch, kvTokens int, weightBytes, kvLayer float64, nLayers int) float64 {
+	kvRead := float64(nLayers) * kvLayer * float64(kvTokens)
+	act := c.P.ActIOFactor * float64(nLayers) * c.Spec.ActivationBytes(batch)
 	return weightBytes + kvRead + act
 }
 
 // roofline combines compute and memory times with overheads.
+//
+//det:hotpath
 func (c *Model) roofline(flops, bytes, mfu float64, nLayers int) float64 {
 	ct := flops / (c.Node.GPU.FLOPS() * mfu)
 	mt := bytes / (c.Node.GPU.MemBandwidth() * c.P.HBMEff)
@@ -165,74 +204,131 @@ func (c *Model) roofline(flops, bytes, mfu float64, nLayers int) float64 {
 
 // Pipeline-parallel costs ---------------------------------------------
 
-// PrefillStage returns the time for stage st of plan to process prefill
-// batch b.
-func (c *Model) PrefillStage(plan model.PipelinePlan, st int, b PrefillBatch) float64 {
+// Pipeline is the cost model bound to one pipeline plan. It computes
+// each stage's constants (layers, head flag, weight bytes, per-layer
+// dense FLOPs and KV bytes) once, so evaluating a stage time costs a
+// few float operations. Node and calibration parameters are read from
+// the Model on every call, and the stage constants are re-derived if
+// the Model's Spec no longer matches the one they were built from, so
+// edits to a Model's exported fields are never served stale. The plan
+// is snapshotted at construction; build a new Pipeline for a new plan.
+// A Pipeline is read-only after construction and safe to share.
+type Pipeline struct {
+	m      *Model
+	spec   model.Spec // m.Spec when stages was derived
+	plan   model.PipelinePlan
+	stages []stage
+}
+
+// Pipeline binds the cost model to plan.
+func (c *Model) Pipeline(plan model.PipelinePlan) *Pipeline {
+	plan.Stages = append([]model.Stage(nil), plan.Stages...)
+	p := &Pipeline{m: c, spec: c.Spec, plan: plan, stages: make([]stage, len(plan.Stages))}
+	for st := range p.stages {
+		p.stages[st] = newStage(c.Spec, &p.plan, st)
+	}
+	return p
+}
+
+// stage returns stage st's constants. The fast path compares the Spec
+// fields the constants derive from (see newStage); if a caller edited
+// any of them after the Pipeline was built, the constants are derived
+// afresh from the current Spec instead.
+//
+//det:hotpath
+func (p *Pipeline) stage(st int) *stage {
+	s, was := &p.m.Spec, &p.spec
+	if s.Hidden != was.Hidden || s.Heads != was.Heads || s.KVHeads != was.KVHeads ||
+		s.Intermediate != was.Intermediate || s.BytesPerParam != was.BytesPerParam {
+		return p.rederive(st)
+	}
+	return &p.stages[st]
+}
+
+// rederive is stage's slow path for an edited Spec.
+func (p *Pipeline) rederive(st int) *stage {
+	k := newStage(p.m.Spec, &p.plan, st)
+	return &k
+}
+
+// PrefillStage returns the time for stage st to process prefill batch
+// b.
+//
+//det:hotpath
+func (p *Pipeline) PrefillStage(st int, b PrefillBatch) float64 {
 	if b.Tokens == 0 {
 		return 0
 	}
-	stage := plan.Stages[st]
-	flops := c.prefillComputeFLOPs(b, stage.Layers, stage.HasHead)
-	bytes := c.prefillMemBytes(b, plan.StageWeightBytes(st), stage.Layers)
-	return c.roofline(flops, bytes, c.P.MFUPrefill, stage.Layers)
+	c, k := p.m, p.stage(st)
+	flops := c.prefillComputeFLOPs(b, k.layers, k.dense, k.hasHead)
+	bytes := c.prefillMemBytes(b, k.weightBytes, k.kvLayer, k.layers)
+	return c.roofline(flops, bytes, c.P.MFUPrefill, k.layers)
 }
 
 // ChunkedPrefillStage returns the time for stage st to process a prefill
 // chunk of chunkTokens belonging to a request with ctxTokens already
 // cached. The chunk re-reads the cached KV — the "repeated KV cache
 // loading overhead" of chunked prefill the paper calls out (§1, §2.3).
-func (c *Model) ChunkedPrefillStage(plan model.PipelinePlan, st int, chunkTokens, ctxTokens int) float64 {
+//
+//det:hotpath
+func (p *Pipeline) ChunkedPrefillStage(st int, chunkTokens, ctxTokens int) float64 {
 	if chunkTokens == 0 {
 		return 0
 	}
-	stage := plan.Stages[st]
+	c, k := p.m, p.stage(st)
 	b := PrefillBatch{Seqs: 1, Tokens: chunkTokens,
 		SumSqTokens: float64(chunkTokens)*float64(chunkTokens) + 2*float64(chunkTokens)*float64(ctxTokens)}
-	flops := c.prefillComputeFLOPs(b, stage.Layers, stage.HasHead)
-	bytes := c.prefillMemBytes(b, plan.StageWeightBytes(st), stage.Layers)
-	bytes += float64(stage.Layers) * c.Spec.KVBytesPerTokenLayer() * float64(ctxTokens) // KV reload
-	return c.roofline(flops, bytes, c.P.MFUPrefill, stage.Layers)
+	flops := c.prefillComputeFLOPs(b, k.layers, k.dense, k.hasHead)
+	bytes := c.prefillMemBytes(b, k.weightBytes, k.kvLayer, k.layers)
+	bytes += float64(k.layers) * k.kvLayer * float64(ctxTokens) // KV reload
+	return c.roofline(flops, bytes, c.P.MFUPrefill, k.layers)
 }
 
 // DecodeStage returns the time for stage st to run one decode step over
 // batch requests with kvTokens total cached context.
-func (c *Model) DecodeStage(plan model.PipelinePlan, st int, batch, kvTokens int) float64 {
+//
+//det:hotpath
+func (p *Pipeline) DecodeStage(st int, batch, kvTokens int) float64 {
 	if batch == 0 {
 		return 0
 	}
-	stage := plan.Stages[st]
-	flops := c.decodeComputeFLOPs(batch, kvTokens, stage.Layers, stage.HasHead)
-	bytes := c.decodeMemBytes(batch, kvTokens, plan.StageWeightBytes(st), stage.Layers)
-	return c.roofline(flops, bytes, c.P.MFUDecode, stage.Layers)
+	c, k := p.m, p.stage(st)
+	flops := c.decodeComputeFLOPs(batch, kvTokens, k.layers, k.dense, k.hasHead)
+	bytes := c.decodeMemBytes(batch, kvTokens, k.weightBytes, k.kvLayer, k.layers)
+	return c.roofline(flops, bytes, c.P.MFUDecode, k.layers)
 }
 
 // HybridStage returns the time for stage st to run one hybrid-batch
 // iteration: decodeBatch decode tokens (kvTokens context) mixed with a
 // prefill chunk of chunkTokens (chunkCtx already cached). Used by the
 // PP+HB and TP+HB baselines.
-func (c *Model) HybridStage(plan model.PipelinePlan, st int, decodeBatch, kvTokens, chunkTokens, chunkCtx int) float64 {
+//
+//det:hotpath
+func (p *Pipeline) HybridStage(st int, decodeBatch, kvTokens, chunkTokens, chunkCtx int) float64 {
 	if decodeBatch == 0 && chunkTokens == 0 {
 		return 0
 	}
-	stage := plan.Stages[st]
+	c, k := p.m, p.stage(st)
 	b := PrefillBatch{Seqs: 1, Tokens: chunkTokens,
 		SumSqTokens: float64(chunkTokens)*float64(chunkTokens) + 2*float64(chunkTokens)*float64(chunkCtx)}
 	if chunkTokens == 0 {
 		b = PrefillBatch{}
 	}
-	flops := c.prefillComputeFLOPs(b, stage.Layers, false) +
-		c.decodeComputeFLOPs(decodeBatch, kvTokens, stage.Layers, stage.HasHead)
-	bytes := float64(stage.Layers)*c.Spec.KVBytesPerTokenLayer()*float64(kvTokens+chunkCtx+chunkTokens) +
-		plan.StageWeightBytes(st) +
-		c.P.ActIOFactor*float64(stage.Layers)*c.Spec.ActivationBytes(decodeBatch+chunkTokens)
+	flops := c.prefillComputeFLOPs(b, k.layers, k.dense, false) +
+		c.decodeComputeFLOPs(decodeBatch, kvTokens, k.layers, k.dense, k.hasHead)
+	bytes := float64(k.layers)*k.kvLayer*float64(kvTokens+chunkCtx+chunkTokens) +
+		k.weightBytes +
+		c.P.ActIOFactor*float64(k.layers)*c.Spec.ActivationBytes(decodeBatch+chunkTokens)
 	// Mixed batches run at an intermediate compute efficiency, further
 	// discounted by the sliced-kernel penalty.
 	mfu := (c.P.MFUPrefill + c.P.MFUDecode) / 2
-	return c.mixedRoofline(flops, bytes, mfu, stage.Layers, chunkTokens > 0 && decodeBatch > 0)
+	return c.mixedRoofline(flops, bytes, mfu, k.layers, chunkTokens > 0 && decodeBatch > 0)
 }
 
 // mixedRoofline applies the hybrid-batch efficiency discount when a
 // pass genuinely mixes phases.
+//
+//det:hotpath
 func (c *Model) mixedRoofline(flops, bytes, mfu float64, nLayers int, mixed bool) float64 {
 	if mixed {
 		eff := c.P.MixedBatchEff
@@ -243,6 +339,34 @@ func (c *Model) mixedRoofline(flops, bytes, mfu float64, nLayers int, mixed bool
 		bytes /= eff // equivalent to discounting achieved bandwidth
 	}
 	return c.roofline(flops, bytes, mfu, nLayers)
+}
+
+// DecodeBottleneck returns the slowest per-stage time of one decode
+// step, which governs pipeline throughput when all stages are busy.
+//
+//det:hotpath
+func (p *Pipeline) DecodeBottleneck(batch, kvTokens int) float64 {
+	var slowest float64
+	for st := range p.stages {
+		if t := p.DecodeStage(st, batch, kvTokens); t > slowest {
+			slowest = t
+		}
+	}
+	return slowest
+}
+
+// PrefillBottleneck returns the slowest per-stage time of a prefill
+// batch across the pipeline.
+//
+//det:hotpath
+func (p *Pipeline) PrefillBottleneck(b PrefillBatch) float64 {
+	var slowest float64
+	for st := range p.stages {
+		if t := p.PrefillStage(st, b); t > slowest {
+			slowest = t
+		}
+	}
+	return slowest
 }
 
 // P2PActivation returns the stage-to-stage transfer time for a
@@ -283,7 +407,7 @@ func (c *Model) TPPrefill(world int, b PrefillBatch) (compute, comm float64) {
 	}
 	s := c.Spec
 	w := float64(world)
-	flops := c.prefillComputeFLOPs(b, s.Layers, true) / w
+	flops := c.prefillComputeFLOPs(b, s.Layers, s.DenseFLOPsPerTokenLayer(), true) / w
 	bytes := s.WeightBytes()/w +
 		c.P.ActIOFactor*float64(s.Layers)*s.ActivationBytes(b.Tokens) +
 		float64(s.Layers)*s.KVBytesPerTokenLayer()*float64(b.Tokens)/w
@@ -300,7 +424,7 @@ func (c *Model) TPDecode(world, batch, kvTokens int) (compute, comm float64) {
 	}
 	s := c.Spec
 	w := float64(world)
-	flops := c.decodeComputeFLOPs(batch, kvTokens, s.Layers, true) / w
+	flops := c.decodeComputeFLOPs(batch, kvTokens, s.Layers, s.DenseFLOPsPerTokenLayer(), true) / w
 	bytes := s.WeightBytes()/w +
 		float64(s.Layers)*s.KVBytesPerTokenLayer()*float64(kvTokens)/w +
 		c.P.ActIOFactor*float64(s.Layers)*s.ActivationBytes(batch)
@@ -318,40 +442,15 @@ func (c *Model) TPHybrid(world, decodeBatch, kvTokens, chunkTokens, chunkCtx int
 	w := float64(world)
 	b := PrefillBatch{Seqs: 1, Tokens: chunkTokens,
 		SumSqTokens: float64(chunkTokens)*float64(chunkTokens) + 2*float64(chunkTokens)*float64(chunkCtx)}
-	flops := (c.prefillComputeFLOPs(b, s.Layers, false) +
-		c.decodeComputeFLOPs(decodeBatch, kvTokens, s.Layers, true)) / w
+	dense := s.DenseFLOPsPerTokenLayer()
+	flops := (c.prefillComputeFLOPs(b, s.Layers, dense, false) +
+		c.decodeComputeFLOPs(decodeBatch, kvTokens, s.Layers, dense, true)) / w
 	bytes := s.WeightBytes()/w +
 		float64(s.Layers)*s.KVBytesPerTokenLayer()*float64(kvTokens+chunkCtx+chunkTokens)/w +
 		c.P.ActIOFactor*float64(s.Layers)*s.ActivationBytes(decodeBatch+chunkTokens)
 	mfu := (c.P.MFUPrefill + c.P.MFUDecode) / 2
 	compute = c.mixedRoofline(flops, bytes, mfu, s.Layers, chunkTokens > 0 && decodeBatch > 0)
 	return compute, c.tpComm(world, decodeBatch+chunkTokens)
-}
-
-// Pipeline bottleneck helper ------------------------------------------
-
-// DecodeBottleneck returns the slowest per-stage time of one decode
-// step, which governs pipeline throughput when all stages are busy.
-func (c *Model) DecodeBottleneck(plan model.PipelinePlan, batch, kvTokens int) float64 {
-	var max float64
-	for st := range plan.Stages {
-		if t := c.DecodeStage(plan, st, batch, kvTokens); t > max {
-			max = t
-		}
-	}
-	return max
-}
-
-// PrefillBottleneck returns the slowest per-stage time of a prefill
-// batch across the pipeline.
-func (c *Model) PrefillBottleneck(plan model.PipelinePlan, b PrefillBatch) float64 {
-	var max float64
-	for st := range plan.Stages {
-		if t := c.PrefillStage(plan, st, b); t > max {
-			max = t
-		}
-	}
-	return max
 }
 
 // String summarizes the calibrated deployment.

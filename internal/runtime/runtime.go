@@ -116,8 +116,7 @@ type Caller interface {
 type workerState struct {
 	rank  int
 	world int
-	plan  model.PipelinePlan
-	cost  *costmodel.Model
+	pipe  *costmodel.Pipeline
 	ready bool
 }
 
@@ -128,9 +127,12 @@ func (w *workerState) handle(msg Msg) Msg {
 		if m.Rank < 0 || m.Rank >= m.World || m.World != len(m.Plan.Stages) {
 			return ErrorReply{fmt.Errorf("runtime: bad init rank=%d world=%d stages=%d", m.Rank, m.World, len(m.Plan.Stages))}
 		}
-		w.rank, w.world, w.plan, w.cost = m.Rank, m.World, m.Plan, m.Cost
+		if m.Cost == nil {
+			return ErrorReply{fmt.Errorf("runtime: init rank %d without a cost model", m.Rank)}
+		}
+		w.rank, w.world, w.pipe = m.Rank, m.World, m.Cost.Pipeline(m.Plan)
 		w.ready = true
-		return InitAck{Rank: w.rank, WeightBytes: w.plan.StageWeightBytes(w.rank)}
+		return InitAck{Rank: w.rank, WeightBytes: m.Plan.StageWeightBytes(w.rank)}
 	case ExecPrefill, ExecDecode, ExecChunked, ExecHybrid:
 		er, err := w.exec(msg)
 		if err != nil {
@@ -154,7 +156,7 @@ func (w *workerState) exec(msg Msg) (ExecResult, error) {
 	case ExecPrefill:
 		return ExecResult{
 			Rank:       w.rank,
-			Dur:        w.cost.PrefillStage(w.plan, w.rank, m.Batch),
+			Dur:        w.pipe.PrefillStage(w.rank, m.Batch),
 			SendTokens: w.sendTokens(m.Batch.Tokens),
 		}, nil
 	case ExecDecode:
@@ -162,13 +164,13 @@ func (w *workerState) exec(msg Msg) (ExecResult, error) {
 	case ExecChunked:
 		return ExecResult{
 			Rank:       w.rank,
-			Dur:        w.cost.ChunkedPrefillStage(w.plan, w.rank, m.ChunkTokens, m.CtxTokens),
+			Dur:        w.pipe.ChunkedPrefillStage(w.rank, m.ChunkTokens, m.CtxTokens),
 			SendTokens: w.sendTokens(m.ChunkTokens),
 		}, nil
 	case ExecHybrid:
 		return ExecResult{
 			Rank:       w.rank,
-			Dur:        w.cost.HybridStage(w.plan, w.rank, m.DecodeBatch, m.KVTokens, m.ChunkTokens, m.ChunkCtx),
+			Dur:        w.pipe.HybridStage(w.rank, m.DecodeBatch, m.KVTokens, m.ChunkTokens, m.ChunkCtx),
 			SendTokens: w.sendTokens(m.DecodeBatch + m.ChunkTokens),
 		}, nil
 	default:
@@ -184,7 +186,7 @@ func (w *workerState) execDecode(m ExecDecode) (ExecResult, error) {
 	}
 	return ExecResult{
 		Rank:       w.rank,
-		Dur:        w.cost.DecodeStage(w.plan, w.rank, m.BatchSize, m.KVTokens),
+		Dur:        w.pipe.DecodeStage(w.rank, m.BatchSize, m.KVTokens),
 		SendTokens: w.sendTokens(m.BatchSize),
 	}, nil
 }

@@ -71,6 +71,9 @@ func TestWorkerRejectsBadInit(t *testing.T) {
 	if rep := w.Call(Init{Plan: plan, Rank: 0, World: 3, Cost: cm}); !isErr(rep) {
 		t.Errorf("world/stages mismatch accepted: %#v", rep)
 	}
+	if rep := w.Call(Init{Plan: plan, Rank: 0, World: 2}); !isErr(rep) {
+		t.Errorf("init without a cost model accepted: %#v", rep)
+	}
 }
 
 func TestWorkerUnknownMessage(t *testing.T) {
@@ -155,7 +158,7 @@ func TestAsyncP2PFreesGPUDuringTransfer(t *testing.T) {
 	// Stage 1 starts strictly after the transfer.
 	xfer := c.Cost.P2PActivation(256)
 	wantStart := res.StageEnds[0] + sim.Time(xfer)
-	gotStart := res.StageEnds[1] - sim.Time(c.Cost.PrefillStage(c.Plan, 1, costmodel.NewPrefillBatch([]int{256})))
+	gotStart := res.StageEnds[1] - sim.Time(c.Cost.Pipeline(c.Plan).PrefillStage(1, costmodel.NewPrefillBatch([]int{256})))
 	if math.Abs(float64(gotStart-wantStart)) > 1e-12 {
 		t.Errorf("stage 1 start = %v, want %v", gotStart, wantStart)
 	}
