@@ -71,12 +71,12 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
 # One machine-readable benchmark snapshot per run: name -> ns/op,
-# B/op, allocs/op. CI uploads BENCH_<run>.json as an artifact. The
+# B/op, allocs/op, plus host metadata (-buildvcs stamps the commit). CI uploads BENCH_<run>.json as an artifact. The
 # intermediate file (not a pipe) makes a benchmark failure fail the
 # target instead of being masked by benchjson's exit status.
 bench-json:
 	$(GO) test -bench=. -benchmem -run='^$$' ./... > bench.out
-	$(GO) run ./cmd/benchjson < bench.out > BENCH_$(BENCH_N).json
+	$(GO) run -buildvcs=true ./cmd/benchjson < bench.out > BENCH_$(BENCH_N).json
 	@rm -f bench.out
 	@echo wrote BENCH_$(BENCH_N).json
 
@@ -91,6 +91,7 @@ bench-compare:
 
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzGenerateSplitInvariants -fuzztime=$(FUZZTIME) ./internal/workload/
+	$(GO) test -run='^$$' -fuzz=FuzzManagerOps -fuzztime=$(FUZZTIME) ./internal/kvcache/
 
 # Smoke-run the disaggregated serving sweep and the fault-injection
 # study at tiny scale through the real CLI: exercises the whole

@@ -16,11 +16,21 @@
 //	{"benchmarks": {"BenchmarkOnlineFleet": {"ns_per_op": 123456,
 //	  "bytes_per_op": 7890, "allocs_per_op": 12, "steps_per_sec": 3.2e6}}}
 //
+// Each snapshot also carries a "meta" block naming the host and code it
+// was measured on: the Go version, GOMAXPROCS (the benchmark names'
+// suffix), the CPU model (go test's "cpu:" header) and the commit
+// stamped into the benchjson binary, when known:
+//
+//	{"meta": {"go": "go1.24.0", "gomaxprocs": 2, "cpu": "Intel Xeon Processor"}, ...}
+//
 // In -compare mode the two snapshots are diffed per benchmark and the
 // exit status is non-zero when any shared benchmark regresses more
 // than -threshold percent in ns/op — the advisory perf gate CI runs
-// against the merge base. Benchmarks present in only one snapshot are
-// reported explicitly ("(new)" / "(removed)"), as are entries with no
+// against the merge base. When the two meta blocks name different
+// hosts or toolchains (or only one snapshot has one), a delta cannot
+// be traced to the code: -compare prints a cross-host warning in place
+// of the verdict and exits 0. Benchmarks present in only one snapshot
+// are reported explicitly ("(new)" / "(removed)"), as are entries with no
 // usable baseline (old ns/op of zero); none of them can fail the gate,
 // so adding or retiring benchmarks never breaks a PR.
 package main
@@ -33,6 +43,8 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
@@ -51,10 +63,52 @@ type Metrics struct {
 	StepsPerSec float64 `json:"steps_per_sec,omitempty"`
 }
 
+// Meta names the host and code a snapshot was measured on.
+type Meta struct {
+	Go         string `json:"go"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	CPU        string `json:"cpu"`
+	Commit     string `json:"commit,omitempty"`
+}
+
+// String renders the meta block for the -compare header.
+func (m *Meta) String() string {
+	if m == nil {
+		return "no host metadata"
+	}
+	commit := m.Commit
+	if commit == "" {
+		commit = "unknown"
+	}
+	return fmt.Sprintf("%s GOMAXPROCS=%d cpu=%q commit=%s", m.Go, m.GOMAXPROCS, m.CPU, commit)
+}
+
+// sameHost reports whether two snapshots were measured with the same
+// toolchain on the same host; the commits may differ. Two snapshots
+// without metadata (older files) are compared as before.
+func sameHost(a, b *Meta) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Go == b.Go && a.GOMAXPROCS == b.GOMAXPROCS && a.CPU == b.CPU
+}
+
 // Snapshot is the file layout: a map so downstream tooling can diff
 // runs by name without caring about ordering.
 type Snapshot struct {
+	Meta       *Meta              `json:"meta,omitempty"`
 	Benchmarks map[string]Metrics `json:"benchmarks"`
+}
+
+// splitProcs splits a benchmark name into its base name and the
+// GOMAXPROCS suffix go test appends ("-8"); no suffix means 1.
+func splitProcs(name string) (string, int) {
+	if i := strings.LastIndex(name, "-"); i > 0 {
+		if n, err := strconv.Atoi(name[i+1:]); err == nil {
+			return name[:i], n
+		}
+	}
+	return name, 1
 }
 
 // parseLine extracts a benchmark result from one output line, e.g.
@@ -68,12 +122,7 @@ func parseLine(line string) (string, Metrics, bool) {
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 		return "", Metrics{}, false
 	}
-	name := fields[0]
-	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i] // strip the GOMAXPROCS suffix
-		}
-	}
+	name, _ := splitProcs(fields[0])
 	var m Metrics
 	seen := false
 	for i := 2; i+1 < len(fields); i += 2 {
@@ -94,6 +143,43 @@ func parseLine(line string) (string, Metrics, bool) {
 		}
 	}
 	return name, m, seen
+}
+
+// parseOutput reads `go test -bench` output into a snapshot. The meta
+// block takes GOMAXPROCS from the first result's name suffix and the
+// CPU from the first "cpu:" header line; the Go version and commit are
+// those of this binary, which `make bench-json` builds with the same
+// toolchain as the benchmarks.
+func parseOutput(r io.Reader) (Snapshot, error) {
+	snap := Snapshot{Meta: &Meta{Go: runtime.Version(), Commit: buildCommit()}, Benchmarks: map[string]Metrics{}}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok && snap.Meta.CPU == "" {
+			snap.Meta.CPU = strings.TrimSpace(cpu)
+		}
+		if name, m, ok := parseLine(line); ok {
+			if snap.Meta.GOMAXPROCS == 0 {
+				_, snap.Meta.GOMAXPROCS = splitProcs(strings.Fields(line)[0])
+			}
+			snap.Benchmarks[name] = m
+		}
+	}
+	return snap, sc.Err()
+}
+
+// buildCommit is the VCS revision stamped into this binary, or "" when
+// it was built outside a git checkout or without VCS stamping.
+func buildCommit() string {
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range info.Settings {
+			if s.Key == "vcs.revision" {
+				return s.Value
+			}
+		}
+	}
+	return ""
 }
 
 func readSnapshot(path string) (Snapshot, error) {
@@ -124,8 +210,14 @@ func pct(old, new float64) float64 {
 // benchmarks present in both snapshots with a positive old ns/op can
 // regress: new benchmarks, removed benchmarks and zero baselines are
 // reported on their own lines and never affect the count, so the exit
-// status tracks genuine regressions only.
+// status tracks genuine regressions only. Snapshots from different
+// hosts get a cross-host warning instead of a verdict and count no
+// regression.
 func compareSnapshots(w io.Writer, oldSnap, newSnap Snapshot, threshold float64, geomean bool) (regressed int) {
+	crossHost := !sameHost(oldSnap.Meta, newSnap.Meta)
+	if oldSnap.Meta != nil || newSnap.Meta != nil {
+		fmt.Fprintf(w, "old: %s\nnew: %s\n\n", oldSnap.Meta, newSnap.Meta)
+	}
 	names := make([]string, 0, len(newSnap.Benchmarks))
 	for name := range newSnap.Benchmarks {
 		names = append(names, name)
@@ -150,7 +242,7 @@ func compareSnapshots(w io.Writer, oldSnap, newSnap Snapshot, threshold float64,
 			logSum += math.Log(n.NsPerOp / o.NsPerOp)
 			logN++
 			mark := ""
-			if d > threshold {
+			if d > threshold && !crossHost {
 				mark = "  << REGRESSION"
 				regressed++
 			}
@@ -187,6 +279,10 @@ func compareSnapshots(w io.Writer, oldSnap, newSnap Snapshot, threshold float64,
 		ratio := math.Exp(logSum / float64(logN))
 		fmt.Fprintf(w, "\ngeomean ns/op ratio: %.3fx over %d shared benchmark(s) (%+.1f%%)\n",
 			ratio, logN, 100*(ratio-1))
+	}
+	if crossHost {
+		fmt.Fprintf(w, "\ncross-host: the snapshots were measured on different hosts or toolchains, so ns/op deltas are not attributed to the code and no regression verdict is given\n")
+		return 0
 	}
 	if regressed > 0 {
 		fmt.Fprintf(w, "\n%d benchmark(s) regressed more than %.0f%% in ns/op\n", regressed, threshold)
@@ -229,15 +325,8 @@ func main() {
 		os.Exit(compareFiles(flag.Arg(0), flag.Arg(1), *threshold, *geomean))
 	}
 
-	snap := Snapshot{Benchmarks: map[string]Metrics{}}
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		if name, m, ok := parseLine(sc.Text()); ok {
-			snap.Benchmarks[name] = m
-		}
-	}
-	if err := sc.Err(); err != nil {
+	snap, err := parseOutput(os.Stdin)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}

@@ -158,3 +158,63 @@ func TestPctFinite(t *testing.T) {
 		t.Errorf("pct(100,100) = %v", d)
 	}
 }
+
+// parseOutput fills the meta block from go test's cpu header and the
+// first result's GOMAXPROCS suffix.
+func TestParseOutputMeta(t *testing.T) {
+	out := "goos: linux\ngoarch: amd64\npkg: repro/internal/kvcache\ncpu: Intel Xeon Processor\n" +
+		"BenchmarkAppend-4   1000000   105.3 ns/op   16 B/op   1 allocs/op\nPASS\n"
+	snap, err := parseOutput(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := snap.Meta; m.CPU != "Intel Xeon Processor" || m.GOMAXPROCS != 4 || m.Go == "" {
+		t.Errorf("meta = %+v", m)
+	}
+	if _, ok := snap.Benchmarks["BenchmarkAppend"]; !ok {
+		t.Errorf("benchmarks = %v", snap.Benchmarks)
+	}
+	snap, err = parseOutput(strings.NewReader("BenchmarkAppend   1000000   105.3 ns/op\n"))
+	if err != nil || snap.Meta.GOMAXPROCS != 1 {
+		t.Errorf("unsuffixed name: meta = %+v, err = %v", snap.Meta, err)
+	}
+}
+
+// A regression between snapshots of one host (the commits differ) gets
+// the usual verdict; between hosts, or against a snapshot without
+// metadata, it gets a cross-host warning and fails nothing.
+func TestCompareCrossHost(t *testing.T) {
+	host := Meta{Go: "go1.24.0", GOMAXPROCS: 2, CPU: "Intel Xeon Processor"}
+	withMeta := func(m *Meta, ns float64) Snapshot {
+		s := snap(map[string]float64{"BenchmarkA": ns})
+		s.Meta = m
+		return s
+	}
+	oldMeta, sameMeta, otherCPU, otherProcs := host, host, host, host
+	oldMeta.Commit, sameMeta.Commit = "aaa", "bbb"
+	otherCPU.CPU = "AMD EPYC"
+	otherProcs.GOMAXPROCS = 8
+	cases := []struct {
+		name          string
+		old, new      *Meta
+		wantRegressed int
+		want, avoid   string
+	}{
+		{"same host, new commit", &oldMeta, &sameMeta, 1, "1 benchmark(s) regressed", "cross-host"},
+		{"different cpu", &oldMeta, &otherCPU, 0, "cross-host", "REGRESSION"},
+		{"different GOMAXPROCS", &oldMeta, &otherProcs, 0, "cross-host", "REGRESSION"},
+		{"old snapshot without metadata", nil, &sameMeta, 0, "cross-host", "REGRESSION"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var sb strings.Builder
+			got := compareSnapshots(&sb, withMeta(tc.old, 100), withMeta(tc.new, 200), 15, false)
+			if got != tc.wantRegressed {
+				t.Errorf("regressed = %d, want %d\n%s", got, tc.wantRegressed, sb.String())
+			}
+			if !strings.Contains(sb.String(), tc.want) || strings.Contains(sb.String(), tc.avoid) {
+				t.Errorf("output should contain %q and not %q:\n%s", tc.want, tc.avoid, sb.String())
+			}
+		})
+	}
+}

@@ -830,9 +830,7 @@ func (e *Engine) launchPrefills() (launched int) {
 			id := e.waiting.Front()
 			st := e.states[id]
 			if group, prefix := e.sharePlan(st); prefix > 0 {
-				if !e.kv.CanAllocateShared(st.prefillLen, group, prefix) {
-					break
-				}
+				// A refused AllocateShared leaves the pool untouched.
 				hit, err := e.kv.AllocateShared(id, st.prefillLen, group, prefix)
 				if err != nil {
 					break

@@ -91,3 +91,45 @@ func BenchmarkMatchPrefix(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMatchPrefixMiss measures the router's warmth probe on a
+// replica that holds none of the group's chain — the common case,
+// since each pick probes every replica.
+func BenchmarkMatchPrefixMiss(b *testing.B) {
+	b.ReportAllocs()
+	m, err := NewManager(1<<24, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := m.AllocateShared(0, 1024, 1, 1024); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if m.MatchPrefix(2, 1024) != 0 {
+			b.Fatal("foreign group hit")
+		}
+	}
+}
+
+// The prefix probes and the admission query walk the chain without
+// allocating, hit or miss.
+func TestSharedProbesAllocateNothing(t *testing.T) {
+	m := mustManager(t, 1<<20, 16)
+	if _, err := m.AllocateShared(0, 1024, 1, 1024); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"MatchPrefix hit", func() { m.MatchPrefix(1, 1024) }},
+		{"MatchPrefix miss", func() { m.MatchPrefix(2, 1024) }},
+		{"CanAllocateShared hit", func() { m.CanAllocateShared(2048, 1, 1024) }},
+		{"CanAllocateShared miss", func() { m.CanAllocateShared(2048, 2, 1024) }},
+	} {
+		if n := testing.AllocsPerRun(100, c.fn); n != 0 {
+			t.Errorf("%s: %v allocs per run, want 0", c.name, n)
+		}
+	}
+}

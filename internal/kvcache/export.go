@@ -47,19 +47,9 @@ func (m *Manager) ExportKV(id int) (ExportedSeq, error) {
 	if !ok {
 		return ExportedSeq{}, fmt.Errorf("kvcache: export of unknown sequence %d", id)
 	}
-	ex := ExportedSeq{
-		Tokens:        s.tokens,
-		PrivateBlocks: s.blocks,
-		Keys:          append([]uint64(nil), s.keys...),
-	}
+	ex := s.export()
 	m.used -= s.blocks
-	for _, k := range s.keys {
-		b := m.shared[k]
-		b.refs--
-		if b.refs == 0 {
-			m.reclaimable++
-		}
-	}
+	m.unref(s.chain)
 	m.seqs[id-m.base] = seqAlloc{}
 	m.live--
 	return ex, nil
@@ -76,11 +66,20 @@ func (m *Manager) SnapshotKV(id int) (ExportedSeq, error) {
 	if !ok {
 		return ExportedSeq{}, fmt.Errorf("kvcache: snapshot of unknown sequence %d", id)
 	}
-	return ExportedSeq{
-		Tokens:        s.tokens,
-		PrivateBlocks: s.blocks,
-		Keys:          append([]uint64(nil), s.keys...),
-	}, nil
+	return s.export(), nil
+}
+
+// export describes s's block window, with the keys of its shared
+// blocks.
+func (s seqAlloc) export() ExportedSeq {
+	var keys []uint64
+	if len(s.chain) > 0 {
+		keys = make([]uint64, len(s.chain))
+		for i, b := range s.chain {
+			keys[i] = b.key
+		}
+	}
+	return ExportedSeq{Tokens: s.tokens, PrivateBlocks: s.blocks, Keys: keys}
 }
 
 // ResidentBlocks returns how many of ex's shared keys are resident in m
@@ -88,13 +87,8 @@ func (m *Manager) SnapshotKV(id int) (ExportedSeq, error) {
 // and KV a hand-off need not move again. Private blocks are never
 // resident elsewhere, so they do not count.
 func (m *Manager) ResidentBlocks(ex ExportedSeq) int {
-	n := 0
-	for _, k := range ex.Keys {
-		if _, ok := m.shared[k]; ok {
-			n++
-		}
-	}
-	return n
+	resident, _ := m.probe(ex.Keys, nil)
+	return resident
 }
 
 // MissingBlocks returns the blocks an import of ex into m would have to
@@ -107,24 +101,33 @@ func (m *Manager) MissingBlocks(ex ExportedSeq) int {
 	return ex.PrivateBlocks + len(ex.Keys) - m.ResidentBlocks(ex)
 }
 
-// CanImport reports whether ImportKV(id, ex) would fit right now,
-// counting warm shared blocks as reclaimable space — except warm
-// blocks that are themselves part of the export's chain: the import
-// re-references those first, which takes them out of the reclaimable
-// pool, so counting them as headroom too would promise space the
-// import cannot actually free (mirrors ImportKV's arithmetic exactly).
-func (m *Manager) CanImport(ex ExportedSeq) bool {
-	resident, residentWarm := 0, 0
-	for _, k := range ex.Keys {
-		if b, ok := m.shared[k]; ok {
-			resident++
-			if b.refs == 0 {
-				residentWarm++
-			}
+// probe looks up each of keys once, counting the resident blocks and
+// the warm ones among them. When buf is non-nil (len >= len(keys)) it
+// also records each block, nil for a missing one.
+func (m *Manager) probe(keys []uint64, buf []*sharedBlock) (resident, warm int) {
+	for i, k := range keys {
+		b := m.shared[k]
+		if buf != nil {
+			buf[i] = b
+		}
+		if b == nil {
+			continue
+		}
+		resident++
+		if b.refs == 0 {
+			warm++
 		}
 	}
-	missing := ex.PrivateBlocks + len(ex.Keys) - resident
-	return missing <= m.FreeBlocks()+m.reclaimable-residentWarm
+	return resident, warm
+}
+
+// CanImport reports whether ImportKV(id, ex) would fit right now,
+// counting warm shared blocks as reclaimable space — except warm
+// blocks that are themselves part of the export's chain, which the
+// import references (see fits).
+func (m *Manager) CanImport(ex ExportedSeq) bool {
+	resident, warm := m.probe(ex.Keys, nil)
+	return m.fits(ex.PrivateBlocks+len(ex.Keys)-resident, warm)
 }
 
 // ImportKV re-materializes an exported sequence as id. Resident shared
@@ -132,7 +135,9 @@ func (m *Manager) CanImport(ex ExportedSeq) bool {
 // transferred data (ref 1); private blocks are re-allocated. It returns
 // the number of shared blocks found resident (KV the import did not have
 // to store). Like ExportKV it leaves the sharing counters untouched, so
-// an export/import round trip is invisible in the statistics.
+// an export/import round trip is invisible in the statistics. An
+// import that does not fit (see CanImport) fails without changing the
+// manager.
 func (m *Manager) ImportKV(id int, ex ExportedSeq) (int, error) {
 	if ex.Tokens <= 0 {
 		return 0, fmt.Errorf("kvcache: import of %d tokens", ex.Tokens)
@@ -147,54 +152,27 @@ func (m *Manager) ImportKV(id int, ex ExportedSeq) (int, error) {
 		return 0, fmt.Errorf("kvcache: malformed export: %d tokens need %d blocks, export carries %d",
 			ex.Tokens, m.BlocksFor(ex.Tokens), ex.Blocks())
 	}
-	// Reference resident keys first so reclaim cannot drop them while
-	// making room for the rest (mirrors AllocateShared).
-	resident := 0
-	for _, k := range ex.Keys {
-		b, ok := m.shared[k]
-		if !ok {
-			continue
-		}
-		resident++
-		b.refs++
-		if b.refs == 1 {
-			m.reclaimable--
-		}
-	}
+	buf := m.chainScratch(len(ex.Keys))
+	resident, warm := m.probe(ex.Keys, buf)
 	need := ex.PrivateBlocks + len(ex.Keys) - resident
-	if need > m.FreeBlocks() {
-		m.reclaim(need - m.FreeBlocks())
+	if !m.fits(need, warm) {
+		clear(buf)
+		return 0, fmt.Errorf("kvcache: out of memory importing sequence %d: need %d blocks, available %d",
+			id, need, m.AvailableBlocks()-warm)
 	}
-	if need > m.FreeBlocks() {
-		for _, k := range ex.Keys { // roll the references back
-			b, ok := m.shared[k]
-			if !ok {
-				continue
-			}
-			b.refs--
-			if b.refs == 0 {
-				m.reclaimable++
-			}
-		}
-		return 0, fmt.Errorf("kvcache: out of memory importing sequence %d: need %d blocks, free %d",
-			id, need, m.FreeBlocks())
-	}
-	for _, k := range ex.Keys {
-		if _, ok := m.shared[k]; !ok {
-			m.shared[k] = &sharedBlock{refs: 1}
-			m.used++
+	chain := m.refChain(buf)
+	m.reclaim(need - m.FreeBlocks())
+	for i, b := range chain {
+		if b == nil {
+			chain[i] = m.insertShared(ex.Keys[i])
 		}
 	}
-	// Touch tail-first so LRU reclaim drops chain tails before roots,
-	// as AllocateShared does.
-	for i := len(ex.Keys) - 1; i >= 0; i-- {
-		m.shared[ex.Keys[i]].lastUse = m.touch()
-	}
+	m.touchTailFirst(chain)
 	m.allocSeq++
 	m.setSeq(id, seqAlloc{
 		tokens:  ex.Tokens,
 		blocks:  ex.PrivateBlocks,
-		keys:    append([]uint64(nil), ex.Keys...),
+		chain:   chain,
 		arrival: m.allocSeq,
 	})
 	m.used += ex.PrivateBlocks

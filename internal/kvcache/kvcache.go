@@ -51,6 +51,9 @@ type Manager struct {
 	touchSeq    int // LRU clock for shared-block reclaim
 	forkSeq     int // distinct keyspace for CoW-forked blocks
 	stats       ShareStats
+	// scratch holds a chain resolved by AllocateShared or ImportKV
+	// until it commits, so a refused admission allocates nothing.
+	scratch []*sharedBlock
 
 	// peak tracks the high-water mark in blocks.
 	peak int
@@ -60,10 +63,11 @@ type Manager struct {
 
 type seqAlloc struct {
 	tokens int
-	// blocks counts the sequence's private blocks; shared prefix blocks
-	// are tracked by keys and counted once globally.
+	// blocks counts the sequence's private blocks; the shared blocks
+	// it references, root first, are in chain and counted once
+	// globally.
 	blocks  int
-	keys    []uint64
+	chain   []*sharedBlock
 	arrival int
 }
 
@@ -239,9 +243,9 @@ func (m *Manager) Allocate(id, tokens int) error {
 // writes into it, triggering copy-on-write (cow: other sequences still
 // reference it) or adoption in place (adopt: sole owner).
 func (m *Manager) appendPlan(s seqAlloc, n int) (keyCount, newPriv, grow int, cow, adopt bool) {
-	keyCount = len(s.keys)
+	keyCount = len(s.chain)
 	if s.blocks == 0 && keyCount > 0 && s.tokens%m.blockSize != 0 {
-		if m.shared[s.keys[keyCount-1]].refs > 1 {
+		if s.chain[keyCount-1].refs > 1 {
 			cow = true
 		} else {
 			adopt = true
@@ -288,15 +292,14 @@ func (m *Manager) Append(id, n int) error {
 		return fmt.Errorf("kvcache: out of memory growing sequence %d: need %d blocks, free %d", id, grow, m.FreeBlocks())
 	}
 	if cow || adopt {
-		k := s.keys[keyCount]
-		b := m.shared[k]
+		b := s.chain[keyCount]
 		if cow {
 			b.refs--
 			m.stats.CoWCopies++
 		} else {
-			delete(m.shared, k)
+			delete(m.shared, b.key)
 		}
-		s.keys = s.keys[:keyCount]
+		s.chain = s.chain[:keyCount]
 	}
 	s.tokens += n
 	s.blocks = newPriv
@@ -313,19 +316,15 @@ func (m *Manager) Append(id, n int) error {
 // stay; blocks whose refcount reaches zero stay resident as warm cache
 // until reclaimed under pressure. Freeing an absent id is a no-op,
 // matching allocator conventions (a double free drops no refs twice).
+//
+//det:hotpath
 func (m *Manager) Free(id int) {
 	s, ok := m.seq(id)
 	if !ok {
 		return
 	}
 	m.used -= s.blocks
-	for _, k := range s.keys {
-		b := m.shared[k]
-		b.refs--
-		if b.refs == 0 {
-			m.reclaimable++
-		}
-	}
+	m.unref(s.chain)
 	m.seqs[id-m.base] = seqAlloc{}
 	m.live--
 }
@@ -380,7 +379,7 @@ func (m *Manager) Snapshot() []SeqInfo {
 		if s.arrival == 0 {
 			continue
 		}
-		out = append(out, SeqInfo{ID: m.base + i, Tokens: s.tokens, Blocks: s.blocks + len(s.keys), Shared: len(s.keys)})
+		out = append(out, SeqInfo{ID: m.base + i, Tokens: s.tokens, Blocks: s.blocks + len(s.chain), Shared: len(s.chain)})
 	}
 	return out
 }

@@ -278,3 +278,44 @@ func TestAllocateSharedOOMRollback(t *testing.T) {
 		t.Errorf("hit = %d tokens, want 64", hit)
 	}
 }
+
+// A sequence's own warm chain blocks are referenced before anything is
+// reclaimed, so they are not headroom for it. When the pool's other
+// space is too small, CanAllocateShared must say no and AllocateShared
+// must refuse without reclaiming anyone's warm blocks.
+func TestAllocateSharedOwnWarmChainIsNotHeadroom(t *testing.T) {
+	const bs = 16
+	for _, otherWarm := range []int{0, 2} {
+		m := mustManager(t, (4+otherWarm)*bs, bs)
+		// Group 1's 2-block chain warm, plus otherWarm warm blocks of
+		// group 2's chain: 2 blocks free.
+		if _, err := m.AllocateShared(1, 2*bs, 1, 2*bs); err != nil {
+			t.Fatal(err)
+		}
+		m.Free(1)
+		if otherWarm > 0 {
+			if _, err := m.AllocateShared(2, otherWarm*bs, 2, otherWarm*bs); err != nil {
+				t.Fatal(err)
+			}
+			m.Free(2)
+		}
+		if m.FreeBlocks() != 2 || m.WarmBlocks() != 2+otherWarm {
+			t.Fatalf("otherWarm=%d: setup free=%d warm=%d", otherWarm, m.FreeBlocks(), m.WarmBlocks())
+		}
+		// The chain hits; 3+otherWarm private blocks must come from 2
+		// free plus otherWarm reclaimable blocks, one short. Counting
+		// the chain's own warm blocks would make it look as if it fit.
+		tokens := (5 + otherWarm) * bs
+		warm, used, reclaimed := m.WarmBlocks(), m.UsedBlocks(), m.Stats().ReclaimedBlocks
+		if m.CanAllocateShared(tokens, 1, 2*bs) {
+			t.Errorf("otherWarm=%d: CanAllocateShared counted the request's own warm chain as headroom", otherWarm)
+		}
+		if _, err := m.AllocateShared(9, tokens, 1, 2*bs); err == nil {
+			t.Fatalf("otherWarm=%d: over-capacity shared allocation accepted", otherWarm)
+		}
+		if m.WarmBlocks() != warm || m.UsedBlocks() != used || m.Stats().ReclaimedBlocks != reclaimed {
+			t.Errorf("otherWarm=%d: refused allocation moved warm %d->%d, used %d->%d, reclaimed %d->%d", otherWarm,
+				warm, m.WarmBlocks(), used, m.UsedBlocks(), reclaimed, m.Stats().ReclaimedBlocks)
+		}
+	}
+}
