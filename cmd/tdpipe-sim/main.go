@@ -415,22 +415,17 @@ func runFleet(o options, node hw.Node, spec model.Spec, pool, reqs []workload.Re
 	if err != nil {
 		return err
 	}
-	var res *fleet.Result
 	start := time.Now()
+	var plan *faults.Plan
 	if fc := o.faultConfig(); fc.Enabled() {
 		downtime := o.restartDelay + faults.WeightReloadTime(node, spec, o.gpus)
-		plan, err := faults.NewPlan(fc, o.replicas, downtime)
-		if err != nil {
+		if plan, err = faults.NewPlan(fc, o.replicas, downtime); err != nil {
 			return err
 		}
-		res, err = fleet.RunOnlineFaultsWorkers(cfg, o.replicas, p, reqs, plan, o.workers)
-		if err != nil {
-			return err
-		}
-	} else if stack != nil {
-		res, err = fleet.RunOnlineElasticWorkers(cfg, o.replicas, p, reqs, stack, o.workers)
-	} else if open {
-		res, err = fleet.RunOnlineWorkers(cfg, o.replicas, p, reqs, o.workers)
+	}
+	var res *fleet.Result
+	if open || plan != nil || stack != nil {
+		res, err = fleet.RunOnlineLayers(cfg, o.replicas, p, reqs, plan, stack, o.workers)
 	} else {
 		res, err = fleet.Run(cfg, o.replicas, p, reqs)
 	}
@@ -494,18 +489,15 @@ func runDisagg(o options, node hw.Node, spec model.Spec, pool, reqs []workload.R
 		return err
 	}
 	dc := fleet.DisaggConfig{PrefillReplicas: o.prefillReplicas, DecodeReplicas: o.decodeReplicas, Workers: o.workers, Stack: stack}
-	var res *fleet.DisaggResult
 	start := time.Now()
+	var plan *faults.Plan
 	if fc := o.faultConfig(); fc.Enabled() {
 		downtime := o.restartDelay + faults.WeightReloadTime(node, spec, o.gpus)
-		plan, perr := faults.NewPlan(fc, dc.PrefillReplicas+dc.DecodeReplicas, downtime)
-		if perr != nil {
-			return perr
+		if plan, err = faults.NewPlan(fc, dc.PrefillReplicas+dc.DecodeReplicas, downtime); err != nil {
+			return err
 		}
-		res, err = fleet.RunDisaggFaults(cfg, dc, reqs, plan)
-	} else {
-		res, err = fleet.RunDisagg(cfg, dc, reqs)
 	}
+	res, err := fleet.RunDisaggFaults(cfg, dc, reqs, plan)
 	wall := time.Since(start)
 	if err != nil {
 		return err
@@ -644,7 +636,7 @@ func run(o options, visit func(func(*flag.Flag))) error {
 		return fmt.Errorf("the policy stack needs the online fleet router: -replicas > 1 with open-loop -arrivals (or -disagg for the -autoscale-* flags)")
 	}
 	if (len(frontFlags) > 0 || len(scaleFlags) > 0) && fc.Enabled() {
-		return fmt.Errorf("fault injection and the policy stack do not compose yet (crashes during drains and the two retry budgets have no defined semantics); run them separately")
+		return fmt.Errorf("fault injection flags with policy flags: %w", fleet.ErrLayersDoNotCompose)
 	}
 	if o.breakerFailures > 0 && o.slo.TTFT <= 0 && !o.disagg {
 		return fmt.Errorf("-breaker-failures classifies completions against the TTFT SLO: set -slo-ttft (with -disagg breakers are crash-fed instead)")

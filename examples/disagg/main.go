@@ -56,7 +56,7 @@ func main() {
 	fmt.Printf("offered load ~%.2f req/s (bursty), slo %s\n\n", rate, cfg.SLO)
 
 	// 3. Colocated control: 4 replicas, least-work dispatch.
-	colo, err := tdpipe.RunFleet(cfg, replicas, tdpipe.FleetLeastWork, open)
+	colo, err := tdpipe.RunFleet(cfg, replicas, tdpipe.FleetLeastWork, open, tdpipe.FleetRun{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func main() {
 		{PrefillReplicas: 2, DecodeReplicas: 2},
 		{PrefillReplicas: 3, DecodeReplicas: 1},
 	} {
-		res, err := tdpipe.RunDisagg(cfg, dc, open)
+		res, err := tdpipe.RunDisagg(cfg, dc, open, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -28,7 +28,7 @@ func main() {
 
 	// 2. One fleet run per registered dispatch policy.
 	for _, policy := range tdpipe.FleetPolicies() {
-		res, err := tdpipe.RunFleet(cfg, 4, policy, reqs)
+		res, err := tdpipe.RunFleet(cfg, 4, policy, reqs, tdpipe.FleetRun{})
 		if err != nil {
 			log.Fatal(err)
 		}

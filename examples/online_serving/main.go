@@ -63,7 +63,7 @@ func main() {
 			}
 			// Arrival-stamped traces route online: one shared clock,
 			// per-arrival dispatch on live load snapshots.
-			res, err := tdpipe.RunFleet(cfg, replicas, policy, stamped)
+			res, err := tdpipe.RunFleet(cfg, replicas, policy, stamped, tdpipe.FleetRun{})
 			if err != nil {
 				log.Fatal(err)
 			}

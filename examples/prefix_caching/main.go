@@ -65,7 +65,7 @@ func main() {
 	fmt.Printf("offered load: %.1f req/s across %d replicas (1.2x capacity)\n\n", rate, replicas)
 
 	show := func(label string, cfg tdpipe.Config, policy string) {
-		res, err := tdpipe.RunFleet(cfg, replicas, policy, open)
+		res, err := tdpipe.RunFleet(cfg, replicas, policy, open, tdpipe.FleetRun{})
 		if err != nil {
 			log.Fatal(err)
 		}

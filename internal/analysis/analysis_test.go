@@ -163,15 +163,12 @@ func TestWallclockScope(t *testing.T) {
 	}
 }
 
-// TestGoroutineScope pins the fabric carve-outs: internal/rpc is out
-// of scope wholesale; everything else is in scope (parallel.go is a
-// per-file exemption inside the analyzer).
+// TestGoroutineScope pins the analyzer's scope: every package is in
+// scope, with no package carve-out (parallel.go is a per-file
+// exemption inside the analyzer).
 func TestGoroutineScope(t *testing.T) {
-	if Goroutine.Scope(&Package{ImportPath: "repro/internal/rpc"}) {
-		t.Error("internal/rpc must be exempt from the goroutine analyzer")
-	}
-	if !Goroutine.Scope(&Package{ImportPath: "repro/internal/fleet"}) {
-		t.Error("internal/fleet must be in goroutine scope")
+	if Goroutine.Scope != nil {
+		t.Error("the goroutine analyzer must cover every package (nil Scope)")
 	}
 }
 

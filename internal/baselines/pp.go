@@ -9,7 +9,7 @@ import (
 	"repro/internal/sim"
 )
 
-// ppRunner executes the PP+SB and PP+HB baselines on the same worker
+// ppRunner executes the PP+SB and PP+HB baselines on the same pipeline
 // cluster TD-Pipe uses, but with the stock-vLLM behaviours the paper
 // identifies as bubble sources (§2.3, Fig. 1):
 //
@@ -71,7 +71,6 @@ func (r *ppRunner) recorder() *metrics.Recorder { return r.cluster.Rec }
 func (r *ppRunner) recomputes() int             { return r.nRecompute }
 
 func (r *ppRunner) run() (sim.Time, error) {
-	defer r.cluster.Shutdown()
 	// Future arrivals become simulation events: each admits its request
 	// at its arrival instant and, if the pipeline drained to idle in
 	// the meantime, restarts the round loop.

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"testing"
 
-	"repro/internal/runtime"
 	"repro/internal/workload"
 )
 
@@ -67,24 +66,6 @@ func TestReportByteIdenticalAcrossRuns(t *testing.T) {
 	}
 }
 
-// The zero-roundtrip direct transport and the goroutine-mailbox
-// transport must produce byte-identical reports.
-func TestReportByteIdenticalAcrossTransports(t *testing.T) {
-	for name, reqs := range detTraces(t) {
-		t.Run(name, func(t *testing.T) {
-			direct := detConfig(4)
-			direct.Transport = runtime.TransportDirect
-			mailbox := detConfig(4)
-			mailbox.Transport = runtime.TransportMailbox
-			a := reportJSON(t, direct, reqs)
-			b := reportJSON(t, mailbox, reqs)
-			if !bytes.Equal(a, b) {
-				t.Errorf("direct vs mailbox reports differ:\n%s\n%s", a, b)
-			}
-		})
-	}
-}
-
 // Scratch-slice reuse on vs off: recycling per-iteration buffers must
 // be invisible in the results.
 func TestReportByteIdenticalScratchReuse(t *testing.T) {
@@ -98,30 +79,5 @@ func TestReportByteIdenticalScratchReuse(t *testing.T) {
 				t.Errorf("scratch reuse on vs off reports differ:\n%s\n%s", on, off)
 			}
 		})
-	}
-}
-
-// The per-request records (arrival, first token, finish) must match as
-// exactly as the aggregate report across transports.
-func TestRecordsIdenticalAcrossTransports(t *testing.T) {
-	reqs := detTraces(t)["arrivals"]
-	direct := detConfig(2)
-	mailbox := detConfig(2)
-	mailbox.Transport = runtime.TransportMailbox
-	a, err := Run(direct, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(mailbox, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Records) != len(b.Records) {
-		t.Fatalf("record counts differ: %d vs %d", len(a.Records), len(b.Records))
-	}
-	for i := range a.Records {
-		if a.Records[i] != b.Records[i] {
-			t.Fatalf("record %d differs: %+v vs %+v", i, a.Records[i], b.Records[i])
-		}
 	}
 }

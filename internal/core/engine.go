@@ -151,9 +151,6 @@ type Engine struct {
 	// idle is true when both planes are drained and the engine is
 	// waiting for the next arrival; the arrival kicks a prefill phase.
 	idle bool
-	// shutdown guards cluster release across Run, Finalize and error
-	// paths.
-	shutdown bool
 
 	// Fault-injection lifecycle state. epoch counts crash/restore
 	// cycles; every scheduled event and pass completion carries the
@@ -207,7 +204,7 @@ type Engine struct {
 }
 
 // NewEngine validates the configuration, sizes the KV pool and builds
-// the worker cluster.
+// the pipeline cluster.
 func NewEngine(eng *sim.Engine, cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -216,7 +213,7 @@ func NewEngine(eng *sim.Engine, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	cluster, err := runtime.NewClusterTransport(eng, cfg.Node, cfg.Spec, cfg.World, cfg.Transport)
+	cluster, err := runtime.NewCluster(eng, cfg.Node, cfg.Spec, cfg.World)
 	if err != nil {
 		return nil, err
 	}
@@ -224,7 +221,6 @@ func NewEngine(eng *sim.Engine, cfg Config) (*Engine, error) {
 	// exact block count it always had (NewManager now rounds up).
 	kv, err := kvcache.NewManager(kvcache.AlignTokens(capTokens, cfg.BlockSize), cfg.BlockSize)
 	if err != nil {
-		cluster.Shutdown()
 		return nil, err
 	}
 	if cfg.Slowdown > 0 {
@@ -346,7 +342,6 @@ func (e *Engine) FreeKVTokens() int { return e.kv.AvailableBlocks() * e.kv.Block
 // per engine.
 func (e *Engine) Run(reqs []workload.Request) (*Result, error) {
 	if err := e.Start(reqs); err != nil {
-		e.Shutdown()
 		return nil, err
 	}
 	e.eng.Run()
@@ -742,19 +737,9 @@ func (e *Engine) PrefixWarmTokens(r workload.Request) int {
 // NumFinished returns the number of completed requests so far.
 func (e *Engine) NumFinished() int { return e.finished }
 
-// Shutdown releases the worker cluster. Finalize calls it; use directly
-// only on error paths that abandon the engine.
-func (e *Engine) Shutdown() {
-	if !e.shutdown {
-		e.shutdown = true
-		e.cluster.Shutdown()
-	}
-}
-
-// Finalize checks completion, releases the cluster and builds the
-// result. Call after the simulation has run to completion.
+// Finalize checks completion and builds the result. Call after the
+// simulation has run to completion.
 func (e *Engine) Finalize() (*Result, error) {
-	e.Shutdown()
 	if e.fatalErr != nil {
 		return nil, e.fatalErr
 	}
@@ -1107,7 +1092,7 @@ func (e *Engine) submitDecode(slot int, readyAt sim.Time) {
 	for _, id := range ids {
 		kvTokens += e.states[id].ctx
 	}
-	e.cluster.SubmitDecode(len(ids), kvTokens, readyAt, e.decodeDone[slot])
+	e.cluster.SubmitPass(runtime.DecodeTask(len(ids), kvTokens), readyAt, e.decodeDone[slot])
 }
 
 // onDecodeDone is the steady-state decode step: retire finished

@@ -184,7 +184,6 @@ func TestPackPendingPrefillsMatchesFullScan(t *testing.T) {
 				if packed != wantPacked {
 					t.Fatalf("%s/reuse=%v trial %d: packed %d tokens, reference %d", tc.name, reuse, trial, packed, wantPacked)
 				}
-				e.Shutdown()
 			}
 		}
 	}

@@ -36,7 +36,7 @@ func RunOnlineElastic(cfg core.Config, replicas int, p Policy, reqs []workload.R
 // all execute on the control timeline, so reports are byte-identical
 // across worker counts.
 func RunOnlineElasticWorkers(cfg core.Config, replicas int, p Policy, reqs []workload.Request, stack *policy.Stack, workers int) (*Result, error) {
-	return runOnline(cfg, replicas, p, reqs, nil, stack, workers)
+	return RunOnlineLayers(cfg, replicas, p, reqs, nil, stack, workers)
 }
 
 // admitEvent fires at a request's arrival instant (AtFunc: ctx is the

@@ -31,7 +31,7 @@ func RunOnlineFaults(cfg core.Config, replicas int, p Policy, reqs []workload.Re
 // worker counts. An active plan must be drawn for exactly replicas
 // replicas (ErrPlanFleetMismatch otherwise).
 func RunOnlineFaultsWorkers(cfg core.Config, replicas int, p Policy, reqs []workload.Request, plan *faults.Plan, workers int) (*Result, error) {
-	return runOnline(cfg, replicas, p, reqs, plan, nil, workers)
+	return RunOnlineLayers(cfg, replicas, p, reqs, plan, nil, workers)
 }
 
 // crashEvent executes one planned crash (AtFunc: a is the crash index

@@ -250,8 +250,7 @@ func (l *ledger) assemble(cfg core.Config, scheduler string, results []*core.Res
 }
 
 // startEngines builds and starts one online engine per fleet replica on
-// the fabric, configured by cfgFor. On error every engine already built
-// is shut down.
+// the fabric, configured by cfgFor.
 func startEngines(fab *fabric, n int, cfgFor func(i int) core.Config) ([]*core.Engine, error) {
 	engines := make([]*core.Engine, 0, n)
 	for i := 0; i < n; i++ {
@@ -261,36 +260,25 @@ func startEngines(fab *fabric, n int, cfgFor func(i int) core.Config) ([]*core.E
 			err = e.StartOnline()
 		}
 		if err != nil {
-			shutdown(engines)
 			return nil, fmt.Errorf("fleet: replica %d: %w", i, err)
 		}
 	}
 	return engines, nil
 }
 
-func shutdown(engines []*core.Engine) {
-	for _, e := range engines {
-		e.Shutdown()
-	}
-}
-
-// finalize collects every engine's result after a run. A router error
-// shuts the engines down and is returned instead; otherwise every
-// engine is finalized even after one fails, since Finalize stops the
-// replica's worker cluster and skipping the rest would leak it.
+// finalize collects every engine's result after a run, or returns the
+// router's error if it stopped the run.
 func finalize(engines []*core.Engine, runErr error) ([]*core.Result, error) {
 	if runErr != nil {
-		shutdown(engines)
 		return nil, runErr
 	}
 	results := make([]*core.Result, len(engines))
-	var ferr error
 	for i, e := range engines {
 		res, err := e.Finalize()
-		if err != nil && ferr == nil {
-			ferr = fmt.Errorf("fleet: replica %d: %w", i, err)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: replica %d: %w", i, err)
 		}
 		results[i] = res
 	}
-	return results, ferr
+	return results, nil
 }

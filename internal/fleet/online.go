@@ -30,6 +30,13 @@ var ErrInvalidArrival = errors.New("fleet: invalid arrival time")
 // sizes) before any engine is built.
 var ErrPlanFleetMismatch = errors.New("fleet: fault plan drawn for a different fleet size")
 
+// ErrLayersDoNotCompose reports an online run given both an active
+// fault plan and an active policy stack. Crashes during autoscaler
+// drains and the interplay of the two retry budgets have no defined
+// semantics yet, so the router refuses the pair before any engine is
+// built.
+var ErrLayersDoNotCompose = errors.New("fleet: fault injection and the policy stack do not compose yet (crashes during drains and the two retry budgets have no defined semantics); run them separately")
+
 // validateArrivals rejects traces with negative or NaN arrival stamps.
 // Closed-loop traces (all zeros) pass: zero is a valid instant.
 func validateArrivals(reqs []workload.Request) error {
@@ -99,7 +106,7 @@ func RunOnline(cfg core.Config, replicas int, p Policy, reqs []workload.Request)
 // picks GOMAXPROCS for fleets of at least AutoWorkerThreshold
 // replicas. Reports are byte-identical across worker counts.
 func RunOnlineWorkers(cfg core.Config, replicas int, p Policy, reqs []workload.Request, workers int) (*Result, error) {
-	return runOnline(cfg, replicas, p, reqs, nil, nil, workers)
+	return RunOnlineLayers(cfg, replicas, p, reqs, nil, nil, workers)
 }
 
 // pendingRec is one dispatchable unit: a fresh arrival or a crash-lost
@@ -148,14 +155,21 @@ type router struct {
 	err error
 }
 
-// runOnline serves reqs on replicas engines of cfg under dispatch
-// policy p. A nil or inactive plan or stack is an absent layer.
-func runOnline(cfg core.Config, replicas int, p Policy, reqs []workload.Request, plan *faults.Plan, stack *policy.Stack, workers int) (*Result, error) {
+// RunOnlineLayers serves reqs on replicas engines of cfg under dispatch
+// policy p with an optional fault layer (plan, see RunOnlineFaults) and
+// an optional policy layer (stack, see RunOnlineElastic), on workers
+// simulation workers (see RunOnlineWorkers). A nil or inactive plan or
+// stack is an absent layer; with both active the run is refused with
+// ErrLayersDoNotCompose.
+func RunOnlineLayers(cfg core.Config, replicas int, p Policy, reqs []workload.Request, plan *faults.Plan, stack *policy.Stack, workers int) (*Result, error) {
 	if !plan.Active() {
 		plan = nil
 	}
 	if !stack.Active() {
 		stack = nil
+	}
+	if plan != nil && stack != nil {
+		return nil, ErrLayersDoNotCompose
 	}
 	if replicas <= 0 {
 		return nil, fmt.Errorf("fleet: replicas = %d", replicas)

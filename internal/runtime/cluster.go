@@ -10,34 +10,16 @@ import (
 	"repro/internal/sim"
 )
 
-// Transport selects how a Cluster reaches its workers.
-type Transport int
-
-const (
-	// TransportDirect dispatches control messages as plain method
-	// calls on the calling goroutine — the zero-roundtrip default.
-	TransportDirect Transport = iota
-	// TransportMailbox runs each worker as a goroutine actor with a
-	// channel mailbox — the original execution plane, kept for
-	// cross-transport equivalence tests and actor-style deployments.
-	TransportMailbox
-)
-
-// Cluster binds a pipeline of workers to simulated GPU and link
-// resources. Schedulers submit per-stage tasks; the cluster routes them
-// through worker endpoints for timing and chains the stages with
-// asynchronous point-to-point transfers.
+// Cluster binds a pipeline of stages to simulated GPU and link
+// resources. Schedulers submit whole-pass tasks; the cluster times each
+// stage with the cost model and chains the stages with asynchronous
+// point-to-point transfers.
 type Cluster struct {
 	Eng  *sim.Engine
 	Node hw.Node
 	Cost *costmodel.Model
 	Plan model.PipelinePlan
 
-	// Workers are the execution-plane endpoints. They are Callers so
-	// the control plane can talk to them through any transport — plain
-	// method calls (NewDirectCaller), the in-process mailbox
-	// (NewWorker) or net/rpc (package rpc).
-	Workers []Caller
 	// GPUs[i] serializes compute on device i.
 	GPUs []*sim.Resource
 	// Links[i] serializes the i -> i+1 activation channel.
@@ -53,6 +35,8 @@ type Cluster struct {
 	// released at compute end.
 	BlockingP2P bool
 
+	// pipe times every stage of Plan.
+	pipe *costmodel.Pipeline
 	// passFree heads the recycled pass-state free list; completed
 	// passes return here instead of the garbage collector.
 	passFree *pass
@@ -64,16 +48,9 @@ type Cluster struct {
 	slowdown float64
 }
 
-// NewCluster builds a world-size pipeline over the node's GPUs using the
-// direct (zero-roundtrip) transport, and wires busy-interval recording.
+// NewCluster builds a world-size pipeline over the node's GPUs and
+// wires busy-interval recording.
 func NewCluster(eng *sim.Engine, node hw.Node, spec model.Spec, world int) (*Cluster, error) {
-	return NewClusterTransport(eng, node, spec, world, TransportDirect)
-}
-
-// NewClusterTransport is NewCluster with an explicit worker transport.
-// All transports produce bit-identical schedules; the mailbox exists
-// for equivalence testing and for deployments that want worker actors.
-func NewClusterTransport(eng *sim.Engine, node hw.Node, spec model.Spec, world int, tr Transport) (*Cluster, error) {
 	if world > node.NumGPUs {
 		return nil, fmt.Errorf("runtime: world %d exceeds node GPUs %d", world, node.NumGPUs)
 	}
@@ -91,6 +68,7 @@ func NewClusterTransport(eng *sim.Engine, node hw.Node, spec model.Spec, world i
 		Cost: cost,
 		Plan: plan,
 		Rec:  metrics.NewRecorder(world),
+		pipe: cost.Pipeline(plan),
 	}
 	for i := 0; i < world; i++ {
 		gpu := sim.NewResource(eng, fmt.Sprintf("gpu%d", i))
@@ -99,22 +77,12 @@ func NewClusterTransport(eng *sim.Engine, node hw.Node, spec model.Spec, world i
 		if i < world-1 {
 			c.Links = append(c.Links, sim.NewResource(eng, fmt.Sprintf("link%d-%d", i, i+1)))
 		}
-		var w Caller
-		if tr == TransportMailbox {
-			w = NewWorker()
-		} else {
-			w = NewDirectCaller()
-		}
-		if rep := w.Call(Init{Plan: plan, Rank: i, World: world, Cost: cost}); isErr(rep) {
-			return nil, rep.(ErrorReply).Err
-		}
-		c.Workers = append(c.Workers, w)
 	}
 	return c, nil
 }
 
 // World returns the pipeline depth.
-func (c *Cluster) World() int { return len(c.Workers) }
+func (c *Cluster) World() int { return len(c.GPUs) }
 
 // SetSlowdown scales all subsequent stage compute times by f — the
 // straggler knob of fault injection (f > 1 slows the node down). f <= 0
@@ -144,24 +112,6 @@ func (c *Cluster) Stall(at sim.Time, dur float64) {
 	}
 }
 
-// Shutdown stops all workers (a no-op for direct endpoints, a goroutine
-// join for mailbox workers).
-func (c *Cluster) Shutdown() {
-	for _, w := range c.Workers {
-		w.Call(Shutdown{})
-	}
-}
-
-func isErr(m Msg) bool {
-	_, bad := m.(ErrorReply)
-	return bad
-}
-
-// StageTask produces the control message for one stage of a pipeline
-// pass. Schedulers supply it so each stage can carry stage-specific
-// work (e.g. hybrid batches differ per stage only in timing).
-type StageTask func(stage int) Msg
-
 // PassResult reports the completion of a full pipeline pass.
 type PassResult struct {
 	// Start is when stage 0 began computing.
@@ -176,41 +126,43 @@ type PassResult struct {
 
 // pass tracks one pipeline pass through the stages. Pass states are
 // pooled on the cluster: recycled when the completion callback returns,
-// so steady-state passes allocate nothing. Decode passes (the hot path)
-// carry their spec by value instead of a StageTask, avoiding the
-// per-step closure and message boxing.
+// so steady-state passes allocate nothing.
 type pass struct {
 	c      *Cluster
-	task   StageTask  // nil for decode-spec passes
-	decode ExecDecode // used when task is nil
+	task   Task
 	onDone func(PassResult)
 	res    PassResult
 	next   *pass
 }
 
-// getPass takes a pass from the free list (or allocates one) and
-// prepares its result buffer for the cluster's world size.
-func (c *Cluster) getPass(task StageTask, onDone func(PassResult)) *pass {
+// getPass takes a pass from the free list (or allocates one) and binds
+// it to task and onDone.
+//
+//det:hotpath
+func (c *Cluster) getPass(task Task, onDone func(PassResult)) *pass {
 	p := c.passFree
 	if p == nil {
-		p = &pass{c: c}
+		p = c.newPass()
 	} else {
 		c.passFree = p.next
 		p.next = nil
 	}
 	p.task, p.onDone = task, onDone
-	if cap(p.res.StageEnds) < len(c.Workers) {
-		p.res.StageEnds = make([]sim.Time, len(c.Workers))
-	} else {
-		p.res.StageEnds = p.res.StageEnds[:len(c.Workers)]
-	}
 	p.res.Start, p.res.End = 0, 0
 	return p
 }
 
+// newPass allocates a pass state with a result buffer for the
+// cluster's world size; from then on the free list recycles it.
+func (c *Cluster) newPass() *pass {
+	return &pass{c: c, res: PassResult{StageEnds: make([]sim.Time, c.World())}}
+}
+
 // putPass recycles a completed pass.
+//
+//det:hotpath
 func (c *Cluster) putPass(p *pass) {
-	p.task, p.onDone = nil, nil
+	p.onDone = nil
 	p.next = c.passFree
 	c.passFree = p
 }
@@ -227,17 +179,8 @@ func (c *Cluster) putPass(p *pass) {
 // Stages are reserved eagerly in submission order, which preserves FIFO
 // execution per GPU across interleaved passes — exactly the in-order
 // launch queue a real stream gives you.
-func (c *Cluster) SubmitPass(task StageTask, readyAt sim.Time, onDone func(PassResult)) {
+func (c *Cluster) SubmitPass(task Task, readyAt sim.Time, onDone func(PassResult)) {
 	c.runStage(c.getPass(task, onDone), 0, readyAt)
-}
-
-// SubmitDecode is SubmitPass for one decode step, the scheduler's hot
-// path: the spec travels by value in the pooled pass state, so a
-// steady-state decode step allocates nothing at all.
-func (c *Cluster) SubmitDecode(batch, kvTokens int, readyAt sim.Time, onDone func(PassResult)) {
-	p := c.getPass(nil, onDone)
-	p.decode = ExecDecode{BatchSize: batch, KVTokens: kvTokens}
-	c.runStage(p, 0, readyAt)
 }
 
 // passNext continues a pass on its next stage once the activation has
@@ -256,29 +199,29 @@ func passDone(ctx any, _, _ int) {
 	p.c.putPass(p)
 }
 
+// runStage computes stage st of pass p once its input has arrived, then
+// either completes the pass or sends the activation on to stage st+1.
+//
+//det:hotpath
 func (c *Cluster) runStage(p *pass, st int, arrival sim.Time) {
-	var er ExecResult
-	if p.task == nil {
-		er = c.execDecode(st, p.decode)
-	} else {
-		er = c.exec(st, p.task(st))
-	}
+	last := st == c.World()-1
+	dur, send := stageTime(c.pipe, st, last, p.task)
 	if c.slowdown > 0 {
-		er.Dur *= c.slowdown
+		dur *= c.slowdown
 	}
-	start, end := c.GPUs[st].Acquire(arrival, er.Dur, nil)
+	start, end := c.GPUs[st].Acquire(arrival, dur, nil)
 	if st == 0 {
 		p.res.Start = start
 	}
 	p.res.StageEnds[st] = end
-	if st == c.World()-1 {
+	if last {
 		p.res.End = end
 		c.Eng.AtFunc(end, passDone, p, 0, 0)
 		return
 	}
 	// Transfer occupies the link; compute of the next stage begins
 	// when the payload lands.
-	xfer := c.Cost.P2PActivation(er.SendTokens)
+	xfer := c.Cost.P2PActivation(send)
 	xferReady := end
 	if c.BlockingP2P {
 		// Rendezvous send: wait for the receiver to drain its queue,
@@ -293,54 +236,4 @@ func (c *Cluster) runStage(p *pass, st int, arrival sim.Time) {
 		c.GPUs[st].Occupy(landed)
 	}
 	c.Eng.AtFunc(landed, passNext, p, st+1, 0)
-}
-
-// execDecode routes one decode stage to its worker. On the direct
-// transport neither the message nor the reply is boxed.
-func (c *Cluster) execDecode(st int, spec ExecDecode) ExecResult {
-	if d, ok := c.Workers[st].(*DirectCaller); ok {
-		er, err := d.state.execDecode(spec)
-		if err != nil {
-			panic(fmt.Sprintf("runtime: stage %d worker error: %v", st, err))
-		}
-		return er
-	}
-	return c.exec(st, spec)
-}
-
-// exec routes one stage task to its worker. Direct endpoints skip the
-// Msg boxing of the reply; every other transport goes through Call.
-func (c *Cluster) exec(st int, msg Msg) ExecResult {
-	if d, ok := c.Workers[st].(*DirectCaller); ok {
-		er, err := d.state.exec(msg)
-		if err != nil {
-			panic(fmt.Sprintf("runtime: stage %d worker error: %v", st, err))
-		}
-		return er
-	}
-	rep := c.Workers[st].Call(msg)
-	er, ok := rep.(ExecResult)
-	if !ok {
-		panic(fmt.Sprintf("runtime: stage %d worker error: %v", st, rep))
-	}
-	return er
-}
-
-// PrefillTask returns a StageTask for a prefill batch. The message is
-// boxed once and shared by every stage of the pass.
-func PrefillTask(b costmodel.PrefillBatch) StageTask {
-	msg := Msg(ExecPrefill{Batch: b})
-	return func(int) Msg { return msg }
-}
-
-// DecodeTask returns a StageTask for one decode step.
-func DecodeTask(batch, kvTokens int) StageTask {
-	msg := Msg(ExecDecode{BatchSize: batch, KVTokens: kvTokens})
-	return func(int) Msg { return msg }
-}
-
-// HybridTask returns a StageTask for a hybrid iteration.
-func HybridTask(decodeBatch, kvTokens, chunkTokens, chunkCtx int) StageTask {
-	msg := Msg(ExecHybrid{DecodeBatch: decodeBatch, KVTokens: kvTokens, ChunkTokens: chunkTokens, ChunkCtx: chunkCtx})
-	return func(int) Msg { return msg }
 }

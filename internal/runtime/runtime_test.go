@@ -17,7 +17,6 @@ func newTestCluster(t *testing.T, world int) *Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(c.Shutdown)
 	return c
 }
 
@@ -28,78 +27,6 @@ func TestNewClusterValidates(t *testing.T) {
 	}
 	if _, err := NewCluster(eng, hw.L20, model.Tiny, 100); err == nil {
 		t.Error("world > layers accepted")
-	}
-}
-
-func TestWorkerInitAndExec(t *testing.T) {
-	c := newTestCluster(t, 2)
-	rep := c.Workers[0].Call(ExecPrefill{Batch: costmodel.NewPrefillBatch([]int{64})})
-	er, ok := rep.(ExecResult)
-	if !ok {
-		t.Fatalf("reply = %#v", rep)
-	}
-	if er.Dur <= 0 {
-		t.Errorf("duration = %v", er.Dur)
-	}
-	if er.SendTokens != 64 {
-		t.Errorf("stage 0 of 2 should forward 64 tokens, got %d", er.SendTokens)
-	}
-	// Last stage does not forward.
-	rep = c.Workers[1].Call(ExecDecode{BatchSize: 8, KVTokens: 80})
-	if er := rep.(ExecResult); er.SendTokens != 0 {
-		t.Errorf("last stage forwards %d tokens, want 0", er.SendTokens)
-	}
-}
-
-func TestWorkerRejectsExecBeforeInit(t *testing.T) {
-	w := NewWorker()
-	defer w.Call(Shutdown{})
-	rep := w.Call(ExecDecode{BatchSize: 1, KVTokens: 1})
-	if !isErr(rep) {
-		t.Errorf("exec before init replied %#v", rep)
-	}
-}
-
-func TestWorkerRejectsBadInit(t *testing.T) {
-	w := NewWorker()
-	defer w.Call(Shutdown{})
-	plan, _ := model.Partition(model.Tiny, 2)
-	cm, _ := costmodel.New(hw.L20, model.Tiny)
-	if rep := w.Call(Init{Plan: plan, Rank: 5, World: 2, Cost: cm}); !isErr(rep) {
-		t.Errorf("bad rank accepted: %#v", rep)
-	}
-	if rep := w.Call(Init{Plan: plan, Rank: 0, World: 3, Cost: cm}); !isErr(rep) {
-		t.Errorf("world/stages mismatch accepted: %#v", rep)
-	}
-	if rep := w.Call(Init{Plan: plan, Rank: 0, World: 2}); !isErr(rep) {
-		t.Errorf("init without a cost model accepted: %#v", rep)
-	}
-}
-
-func TestWorkerUnknownMessage(t *testing.T) {
-	w := NewWorker()
-	defer w.Call(Shutdown{})
-	if rep := w.Call(Ack{}); !isErr(rep) {
-		t.Errorf("unknown message replied %#v", rep)
-	}
-}
-
-func TestInitAckReportsWeights(t *testing.T) {
-	eng := sim.NewEngine()
-	c, err := NewCluster(eng, hw.A100, model.Llama2_70B, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Shutdown()
-	w := NewWorker()
-	defer w.Call(Shutdown{})
-	rep := w.Call(Init{Plan: c.Plan, Rank: 1, World: 4, Cost: c.Cost})
-	ack, ok := rep.(InitAck)
-	if !ok {
-		t.Fatalf("reply = %#v", rep)
-	}
-	if math.Abs(ack.WeightBytes-c.Plan.StageWeightBytes(1)) > 1 {
-		t.Errorf("weights = %v, want %v", ack.WeightBytes, c.Plan.StageWeightBytes(1))
 	}
 }
 
@@ -192,20 +119,117 @@ func TestDecodePassDependencyChaining(t *testing.T) {
 	}
 }
 
+// stageCase is one task kind for checkStageTimes: want gives the
+// matching costmodel.Pipeline stage time, send the tokens every stage
+// but the last forwards.
+type stageCase struct {
+	name string
+	task Task
+	want func(st int) float64
+	send int
+}
+
+// checkStageTimes asserts that stageTime times each case exactly as the
+// matching costmodel.Pipeline stage function, and forwards the
+// activation tokens of the pass to the next stage — none from the last
+// stage.
+func checkStageTimes(t *testing.T, c *Cluster, cases []stageCase) {
+	t.Helper()
+	for _, tc := range cases {
+		for st := 0; st < c.World(); st++ {
+			last := st == c.World()-1
+			dur, send := stageTime(c.pipe, st, last, tc.task)
+			if want := tc.want(st); math.Float64bits(dur) != math.Float64bits(want) || dur <= 0 {
+				t.Errorf("%s stage %d: dur %v, want %v", tc.name, st, dur, want)
+			}
+			wantSend := tc.send
+			if last {
+				wantSend = 0
+			}
+			if send != wantSend {
+				t.Errorf("%s stage %d: forwards %d tokens, want %d", tc.name, st, send, wantSend)
+			}
+		}
+	}
+}
+
+func TestWorkerInitAndExec(t *testing.T) {
+	c := newTestCluster(t, 3)
+	pipe := c.Cost.Pipeline(c.Plan)
+	batch := costmodel.NewPrefillBatch([]int{64, 128})
+	checkStageTimes(t, c, []stageCase{
+		{"prefill", PrefillTask(batch), func(st int) float64 { return pipe.PrefillStage(st, batch) }, 192},
+		{"decode", DecodeTask(16, 1600), func(st int) float64 { return pipe.DecodeStage(st, 16, 1600) }, 16},
+	})
+}
+
 func TestHybridAndChunkedTasks(t *testing.T) {
-	c := newTestCluster(t, 2)
-	rep := c.Workers[0].Call(ExecChunked{ChunkTokens: 64, CtxTokens: 128})
-	if er := rep.(ExecResult); er.Dur <= 0 || er.SendTokens != 64 {
-		t.Errorf("chunked exec = %+v", er)
-	}
-	rep = c.Workers[0].Call(ExecHybrid{DecodeBatch: 4, KVTokens: 400, ChunkTokens: 32, ChunkCtx: 0})
-	if er := rep.(ExecResult); er.Dur <= 0 || er.SendTokens != 36 {
-		t.Errorf("hybrid exec = %+v", er)
-	}
+	c := newTestCluster(t, 3)
+	pipe := c.Cost.Pipeline(c.Plan)
+	checkStageTimes(t, c, []stageCase{
+		{"chunked", ChunkedTask(32, 64), func(st int) float64 { return pipe.ChunkedPrefillStage(st, 32, 64) }, 32},
+		{"hybrid", HybridTask(8, 800, 16, 32), func(st int) float64 { return pipe.HybridStage(st, 8, 800, 16, 32) }, 24},
+	})
 	var res PassResult
 	c.SubmitPass(HybridTask(4, 400, 32, 0), 0, func(r PassResult) { res = r })
 	c.Eng.Run()
 	if res.End <= 0 {
 		t.Errorf("hybrid pass end = %v", res.End)
+	}
+}
+
+// Interleaved pooled passes must not share result state: two
+// overlapping passes completing at different times keep distinct
+// StageEnds during their callbacks.
+func TestPooledPassesDoNotAlias(t *testing.T) {
+	c := newTestCluster(t, 2)
+	type seen struct {
+		start, end sim.Time
+		stages     []sim.Time
+	}
+	var got []seen
+	capture := func(r PassResult) {
+		s := seen{start: r.Start, end: r.End}
+		s.stages = append(s.stages, r.StageEnds...) // copy: recycled after return
+		got = append(got, s)
+	}
+	for i := 0; i < 4; i++ {
+		c.SubmitPass(DecodeTask(4+i, 400), 0, capture)
+	}
+	c.Eng.Run()
+	if len(got) != 4 {
+		t.Fatalf("completed %d of 4 passes", len(got))
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i].end <= got[i-1].end {
+			t.Errorf("pass %d ended at %v, not after pass %d at %v", i, got[i].end, i-1, got[i-1].end)
+		}
+		if got[i].stages[1] != got[i].end {
+			t.Errorf("pass %d stage end %v != end %v", i, got[i].stages[1], got[i].end)
+		}
+	}
+}
+
+// A steady-state prefill pass whose completion callback is bound once
+// allocates nothing: the task travels by value in the pooled pass.
+func TestPrefillPassAllocatesNothing(t *testing.T) {
+	c := newTestCluster(t, 4)
+	// The busy-interval log grows with every pass; it is the metrics
+	// layer's cost, not the runtime's.
+	for _, g := range c.GPUs {
+		g.Observe(nil)
+	}
+	batch := costmodel.NewPrefillBatch([]int{128, 64})
+	passes := 0
+	done := func(PassResult) { passes++ }
+	allocs := testing.AllocsPerRun(100, func() {
+		c.SubmitPass(PrefillTask(batch), c.Eng.Now(), done)
+		c.Eng.Run()
+	})
+	if allocs != 0 {
+		t.Errorf("prefill pass allocates %v times, want 0", allocs)
+	}
+	if passes != 101 {
+		t.Errorf("completed %d passes, want 101", passes)
 	}
 }

@@ -175,40 +175,62 @@ func NewFleetPolicy(name string, opts FleetOptions) (FleetPolicy, error) {
 	return fleet.New(name, opts)
 }
 
+// FleetRun gathers the optional parts of a RunFleet call. The zero
+// value is a sequential run with neither layer.
+type FleetRun struct {
+	// Workers shards the online co-simulation across goroutines: 0 or
+	// 1 runs sequentially, FleetWorkersAuto selects automatically.
+	// Reports and records are byte-identical across worker counts;
+	// workers only change wall-clock time.
+	Workers int
+	// Faults is the fault layer: a plan whose crashes, stragglers and
+	// KV-link windows the online router executes (see NewFaultPlan).
+	// Nil or an inactive plan is no fault layer.
+	Faults *FaultPlan
+	// Policies is the policy layer: the front-door policy stack and
+	// autoscaler. Nil or an empty stack is no policy layer. It does
+	// not compose with an active fault plan yet
+	// (fleet.ErrLayersDoNotCompose).
+	Policies *PolicyStack
+}
+
 // RunFleet serves the trace on replicas data-parallel TD-Pipe engines
 // under the named dispatch policy and merges the per-replica reports
 // (including per-request latency records) into one fleet report.
 //
-// Closed-loop traces (every arrival at t=0) are pre-sharded and the
-// replicas simulate concurrently, each on its own virtual-time
-// substrate. Arrival-stamped traces (see StampArrivals) are served by
-// the online router instead: all replicas share one virtual clock and
-// each request is dispatched at its arrival instant using a live
-// snapshot of per-replica outstanding work.
+// Closed-loop traces (every arrival at t=0) with neither layer active
+// are pre-sharded and the replicas simulate concurrently, each on its
+// own virtual-time substrate; run.Workers is ignored there. Every
+// other run is served by the online router: all replicas share one
+// virtual clock and each request is dispatched at its arrival instant
+// using a live snapshot of per-replica outstanding work.
+//
+// With run.Faults, crashed replicas abort their in-flight requests,
+// routing skips dead replicas, and aborted work is re-dispatched
+// (recompute, or resumed from the latest periodic KV checkpoint when
+// cfg.CheckpointInterval is set) under the plan's retry budget;
+// Report.Faults carries the recovery accounting. With run.Policies,
+// admission sheds and retries arrivals, breakers take SLO-violating
+// replicas out of routing, high tiers preempt low tiers' KV, and the
+// autoscaler scales the active replicas mid-run, each scale-up paying
+// the node's modeled weight-load cold start; Report.Admission and
+// Report.Autoscale carry the accounting. Either way every trace
+// request ends exactly once, finished or dropped with a reason, and
+// an inactive layer leaves the report byte-identical.
 //
 // The policy inherits cfg.Predictor (predicted-cost dispatch uses the
 // same classifier as the greedy prefill) and a fixed seed, so results
-// are deterministic for a given trace and config; use fleet.Run or
-// fleet.RunOnline directly for custom policy instances or seeds.
-func RunFleet(cfg Config, replicas int, policy string, reqs []Request) (*FleetResult, error) {
-	return RunFleetWorkers(cfg, replicas, policy, reqs, 1)
-}
-
-// RunFleetWorkers is RunFleet with the online co-simulation sharded
-// across the given number of worker goroutines (0 or 1 sequential,
-// FleetWorkersAuto for automatic selection). Reports and records are
-// byte-identical across worker counts; workers only change wall-clock
-// time. Closed-loop traces ignore the worker count — their replicas
-// already simulate concurrently.
-func RunFleetWorkers(cfg Config, replicas int, policy string, reqs []Request, workers int) (*FleetResult, error) {
+// are deterministic for a given trace and config; use the fleet
+// package directly for custom policy instances or seeds.
+func RunFleet(cfg Config, replicas int, policy string, reqs []Request, run FleetRun) (*FleetResult, error) {
 	p, err := fleet.New(policy, fleet.Options{Seed: 1, Predictor: cfg.Predictor})
 	if err != nil {
 		return nil, err
 	}
-	if workload.HasArrivals(reqs) {
-		return fleet.RunOnlineWorkers(cfg, replicas, p, reqs, workers)
+	if !workload.HasArrivals(reqs) && !run.Faults.Active() && !run.Policies.Active() {
+		return fleet.Run(cfg, replicas, p, reqs)
 	}
-	return fleet.Run(cfg, replicas, p, reqs)
+	return fleet.RunOnlineLayers(cfg, replicas, p, reqs, run.Faults, run.Policies, run.Workers)
 }
 
 // RunDisagg serves the trace on a phase-disaggregated fleet: dedicated
@@ -224,18 +246,24 @@ func RunFleetWorkers(cfg Config, replicas int, policy string, reqs []Request, wo
 // slots). Set dc.Workers (FleetWorkersAuto for automatic selection) to
 // shard the co-simulation across goroutines; results stay
 // byte-identical across worker counts.
-func RunDisagg(cfg Config, dc DisaggConfig, reqs []Request) (*DisaggResult, error) {
-	return fleet.RunDisagg(cfg, dc, reqs)
+//
+// A non-nil plan adds the fault layer: pool replicas crash and recover
+// as in RunFleet (plan replica indices cover the prefill pool first,
+// then decode), and the plan's KV-link windows stretch or cut the
+// prefill-to-decode hand-off transfers. A nil or inactive plan leaves
+// the report byte-identical.
+func RunDisagg(cfg Config, dc DisaggConfig, reqs []Request, plan *FaultPlan) (*DisaggResult, error) {
+	return fleet.RunDisaggFaults(cfg, dc, reqs, plan)
 }
 
 // Policy aliases: the elastic autoscaler and the composable front-door
-// serving policies (see RunFleetElastic).
+// serving policies (see FleetRun.Policies).
 type (
 	// PolicyStack composes the front-door policies for an elastic fleet
 	// run: token-bucket admission, retry backoff, per-replica circuit
 	// breaking, priority preemption and the autoscaler. Every field is
-	// optional; a nil or empty stack is inactive and takes the exact
-	// RunFleet code path.
+	// optional; a nil or empty stack is inactive and leaves the RunFleet
+	// report byte-identical.
 	PolicyStack = policy.Stack
 	// AutoscalerConfig parameterizes the elastic autoscaler: replica
 	// bounds, evaluation cadence, SLO targets and cooldowns.
@@ -284,29 +312,6 @@ func StampPriorities(reqs []Request, cfg PriorityConfig) ([]Request, error) {
 // HasPriorities reports whether the trace carries priority structure.
 func HasPriorities(reqs []Request) bool { return workload.HasPriorities(reqs) }
 
-// RunFleetElastic serves an arrival-stamped trace on the online fleet
-// router with the policy stack attached: admission shedding and retry
-// at the front door, breaker-aware routing, priority preemption, and
-// mid-run scaling between the autoscaler's bounds (each scale-up pays
-// the node's modeled weight-load cold start; Report.Autoscale carries
-// the provisioned GPU-second bill). Every trace request ends exactly
-// once finished or dropped, with drops accounted in Report.Admission.
-// An inactive stack (nil or empty) takes the exact RunFleet code path.
-func RunFleetElastic(cfg Config, replicas int, policy string, reqs []Request, stack *PolicyStack) (*FleetResult, error) {
-	return RunFleetElasticWorkers(cfg, replicas, policy, reqs, stack, 1)
-}
-
-// RunFleetElasticWorkers is RunFleetElastic sharded across simulation
-// workers (see RunFleetWorkers); policy runs too are byte-identical
-// across worker counts.
-func RunFleetElasticWorkers(cfg Config, replicas int, policyName string, reqs []Request, stack *PolicyStack, workers int) (*FleetResult, error) {
-	p, err := fleet.New(policyName, fleet.Options{Seed: 1, Predictor: cfg.Predictor})
-	if err != nil {
-		return nil, err
-	}
-	return fleet.RunOnlineElasticWorkers(cfg, replicas, p, reqs, stack, workers)
-}
-
 // Fault-injection aliases: seeded failure plans for fleet runs.
 type (
 	// FaultConfig parameterizes a seeded fault plan: crash MTBF and
@@ -354,39 +359,6 @@ func NewFaultPlan(cfg FaultConfig, replicas int, downtime float64) (*FaultPlan, 
 // plan's downtime.
 func FaultWeightReloadTime(node Node, spec ModelSpec, world int) float64 {
 	return faults.WeightReloadTime(node, spec, world)
-}
-
-// RunFleetFaults serves an arrival-stamped trace on the online fleet
-// router while executing the plan's failures: crashed replicas abort
-// their in-flight requests, routing skips dead replicas, and aborted
-// work is re-dispatched (recompute, or resumed from the latest periodic
-// KV checkpoint when cfg.CheckpointInterval is set) under the plan's
-// retry budget. Requests that exhaust it are dropped with a reason and
-// accounted in Report.Faults; every trace request ends exactly once
-// finished or dropped. An inactive plan (nil, or one scheduling no
-// failures) takes the exact fault-free RunOnline code path.
-func RunFleetFaults(cfg Config, replicas int, policy string, reqs []Request, plan *FaultPlan) (*FleetResult, error) {
-	return RunFleetFaultsWorkers(cfg, replicas, policy, reqs, plan, 1)
-}
-
-// RunFleetFaultsWorkers is RunFleetFaults sharded across simulation
-// workers (see RunFleetWorkers); fault runs too are byte-identical
-// across worker counts.
-func RunFleetFaultsWorkers(cfg Config, replicas int, policy string, reqs []Request, plan *FaultPlan, workers int) (*FleetResult, error) {
-	p, err := fleet.New(policy, fleet.Options{Seed: 1, Predictor: cfg.Predictor})
-	if err != nil {
-		return nil, err
-	}
-	return fleet.RunOnlineFaultsWorkers(cfg, replicas, p, reqs, plan, workers)
-}
-
-// RunDisaggFaults is RunDisagg under a fault plan: pool replicas crash
-// and recover as in RunFleetFaults (plan replica indices cover the
-// prefill pool first, then decode), and the plan's KV-link windows
-// stretch or cut the prefill-to-decode hand-off transfers. A nil or
-// inactive plan takes the exact RunDisagg code path.
-func RunDisaggFaults(cfg Config, dc DisaggConfig, reqs []Request, plan *FaultPlan) (*DisaggResult, error) {
-	return fleet.RunDisaggFaults(cfg, dc, reqs, plan)
 }
 
 // NewBaselineConfig returns a vLLM-like configuration for one of the

@@ -1,6 +1,11 @@
 package tdpipe
 
-import "testing"
+import (
+	"errors"
+	"testing"
+
+	"repro/internal/fleet"
+)
 
 func TestFacadeEndToEnd(t *testing.T) {
 	trace, err := NewTrace(3000, 7)
@@ -56,7 +61,7 @@ func TestRunFleet(t *testing.T) {
 		t.Fatalf("only %d fleet policies registered: %v", len(policies), policies)
 	}
 	for _, policy := range policies {
-		res, err := RunFleet(cfg, 4, policy, reqs)
+		res, err := RunFleet(cfg, 4, policy, reqs, FleetRun{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +75,7 @@ func TestRunFleet(t *testing.T) {
 		if res.Report.GPUs != 16 {
 			t.Errorf("%s: fleet GPUs = %d, want 16", policy, res.Report.GPUs)
 		}
-		again, err := RunFleet(cfg, 4, policy, reqs)
+		again, err := RunFleet(cfg, 4, policy, reqs, FleetRun{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +84,7 @@ func TestRunFleet(t *testing.T) {
 		}
 	}
 
-	if _, err := RunFleet(cfg, 4, "no-such-policy", reqs); err == nil {
+	if _, err := RunFleet(cfg, 4, "no-such-policy", reqs, FleetRun{}); err == nil {
 		t.Error("unknown policy accepted")
 	}
 }
@@ -112,7 +117,7 @@ func TestFacadeOnlineServing(t *testing.T) {
 		t.Errorf("latency digest covers %d requests", res.Report.Latency.Requests)
 	}
 
-	fres, err := RunFleet(cfg, 2, FleetLeastWork, stamped)
+	fres, err := RunFleet(cfg, 2, FleetLeastWork, stamped, FleetRun{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,10 +137,10 @@ func TestFacadeOnlineServing(t *testing.T) {
 }
 
 // The facade's fault-injection path: a seeded plan drawn through
-// NewFaultPlan injects crashes into RunFleetFaults, recovery accounting
-// lands in Report.Faults, conservation holds (finished + dropped covers
-// the trace), and an inactive plan reproduces the fault-free run
-// exactly.
+// NewFaultPlan injects crashes into RunFleet, recovery accounting lands
+// in Report.Faults, conservation holds (finished + dropped covers the
+// trace), and an active policy stack beside the plan is refused with
+// fleet.ErrLayersDoNotCompose.
 func TestFacadeFaultInjection(t *testing.T) {
 	trace, err := NewTrace(3000, 17)
 	if err != nil {
@@ -149,7 +154,7 @@ func TestFacadeFaultInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	base, err := RunFleetFaults(cfg, 3, FleetLeastWork, stamped, nil)
+	base, err := RunFleet(cfg, 3, FleetLeastWork, stamped, FleetRun{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +175,7 @@ func TestFacadeFaultInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunFleetFaults(cfg, 3, FleetLeastWork, stamped, plan)
+	res, err := RunFleet(cfg, 3, FleetLeastWork, stamped, FleetRun{Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,12 +187,17 @@ func TestFacadeFaultInjection(t *testing.T) {
 		t.Errorf("finished %d + dropped %d != %d requests", res.Report.Requests, f.Dropped, len(stamped))
 	}
 
-	again, err := RunFleetFaults(cfg, 3, FleetLeastWork, stamped, plan)
+	again, err := RunFleet(cfg, 3, FleetLeastWork, stamped, FleetRun{Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Report != again.Report {
 		t.Errorf("fault run not deterministic:\n%v\n%v", res.Report, again.Report)
+	}
+
+	both := FleetRun{Faults: plan, Policies: &PolicyStack{Admission: NewTokenBucket(40, 8)}}
+	if _, err := RunFleet(cfg, 3, FleetLeastWork, stamped, both); !errors.Is(err, fleet.ErrLayersDoNotCompose) {
+		t.Errorf("faults + policy stack: err = %v, want ErrLayersDoNotCompose", err)
 	}
 
 	if _, err := NewFaultPlan(FaultConfig{MTBF: -1}, 3, 0); err == nil {
@@ -219,11 +229,11 @@ func TestFacadeElasticPolicies(t *testing.T) {
 		t.Fatal("HasPriorities misclassifies traces")
 	}
 
-	base, err := RunFleet(cfg, 3, FleetLeastWork, stamped)
+	base, err := RunFleet(cfg, 3, FleetLeastWork, stamped, FleetRun{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inactive, err := RunFleetElastic(cfg, 3, FleetLeastWork, stamped, &PolicyStack{})
+	inactive, err := RunFleet(cfg, 3, FleetLeastWork, stamped, FleetRun{Policies: &PolicyStack{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +255,7 @@ func TestFacadeElasticPolicies(t *testing.T) {
 		Preemption: &PreemptionConfig{},
 		Autoscaler: as,
 	}
-	res, err := RunFleetElasticWorkers(cfg, 3, FleetLeastWork, stamped, stack, 2)
+	res, err := RunFleet(cfg, 3, FleetLeastWork, stamped, FleetRun{Workers: 2, Policies: stack})
 	if err != nil {
 		t.Fatal(err)
 	}
