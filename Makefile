@@ -92,6 +92,7 @@ bench-compare:
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzGenerateSplitInvariants -fuzztime=$(FUZZTIME) ./internal/workload/
 	$(GO) test -run='^$$' -fuzz=FuzzManagerOps -fuzztime=$(FUZZTIME) ./internal/kvcache/
+	$(GO) test -run='^$$' -fuzz=FuzzFleet -fuzztime=$(FUZZTIME) ./internal/fleet/
 
 # Smoke-run the disaggregated serving sweep and the fault-injection
 # study at tiny scale through the real CLI: exercises the whole

@@ -635,9 +635,6 @@ func run(o options, visit func(func(*flag.Flag))) error {
 	if (len(frontFlags) > 0 || len(scaleFlags) > 0) && !o.disagg && (o.replicas <= 1 || !open) {
 		return fmt.Errorf("the policy stack needs the online fleet router: -replicas > 1 with open-loop -arrivals (or -disagg for the -autoscale-* flags)")
 	}
-	if (len(frontFlags) > 0 || len(scaleFlags) > 0) && fc.Enabled() {
-		return fmt.Errorf("fault injection flags with policy flags: %w", fleet.ErrLayersDoNotCompose)
-	}
 	if o.breakerFailures > 0 && o.slo.TTFT <= 0 && !o.disagg {
 		return fmt.Errorf("-breaker-failures classifies completions against the TTFT SLO: set -slo-ttft (with -disagg breakers are crash-fed instead)")
 	}

@@ -85,9 +85,9 @@ func TestReadmeFlagTableMatchesRegistration(t *testing.T) {
 }
 
 // Fault injection and the policy stack are both layers of the online
-// router, but their composition has no defined semantics yet, so the
-// CLI rejects the combination instead of running it.
-func TestFaultsWithPolicyStackRejected(t *testing.T) {
+// router and compose: a crashy, autoscaled run succeeds and reports
+// both the fault and the autoscale sections.
+func TestFaultsWithPolicyStackRuns(t *testing.T) {
 	var o options
 	fs := flag.NewFlagSet("tdpipe-sim", flag.ContinueOnError)
 	registerFlags(fs, &o)
@@ -99,8 +99,24 @@ func TestFaultsWithPolicyStackRejected(t *testing.T) {
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	err := run(o, fs.Visit)
-	if err == nil || !strings.Contains(err.Error(), "do not compose yet") {
-		t.Fatalf("faults + autoscaler: err = %v, want the composition rejection", err)
+	out, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = out
+	err = run(o, fs.Visit)
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatalf("faults + autoscaler: %v", err)
+	}
+	report, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, section := range []string{"FleetFaultsElastic(", "\nfaults: ", "\nautoscale: "} {
+		if !strings.Contains(string(report), section) {
+			t.Errorf("report lacks %q:\n%s", section, report)
+		}
 	}
 }

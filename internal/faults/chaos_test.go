@@ -12,13 +12,15 @@ import (
 	"repro/internal/hw"
 	"repro/internal/metrics"
 	"repro/internal/model"
+	"repro/internal/policy"
 	"repro/internal/workload"
 )
 
 // Chaos harness: randomized-but-seeded fault plans swept across domain
 // shapes, outage kinds, checkpoint cadences and (in long mode) retry
 // budgets, served by both fleet fault routers with the parallel fabric
-// at one and four workers. Every run must satisfy the exactly-once
+// at one and four workers; an elastic leg layers the plans under an
+// autoscaler. Every run must satisfy the exactly-once
 // invariant — each trace request finished exactly once XOR carries a
 // drop reason — and every (scenario, router) pair must produce
 // byte-identical reports run-to-run and across worker counts. The
@@ -113,7 +115,8 @@ func marshalChaos(t *testing.T, report metrics.Report, records []metrics.Request
 
 // checkChaosConservation asserts exactly-once finished-xor-dropped
 // from the outside: the record count matches the trace, finished
-// records match the report, and finished + dropped covers everything.
+// records match the report, and finished + dropped covers everything
+// (a policy layer's drops land in Report.Admission, each counted once).
 func checkChaosConservation(t *testing.T, label string, report metrics.Report, records []metrics.RequestRecord, n int) {
 	t.Helper()
 	if len(records) != n {
@@ -128,9 +131,9 @@ func checkChaosConservation(t *testing.T, label string, report metrics.Report, r
 	if finished != report.Requests {
 		t.Fatalf("%s: %d finished records, report says %d", label, finished, report.Requests)
 	}
-	if got := report.Requests + report.Faults.Dropped; got != n {
-		t.Fatalf("%s: finished %d + dropped %d = %d, want %d",
-			label, report.Requests, report.Faults.Dropped, got, n)
+	if got := report.Requests + report.Faults.Dropped + report.Admission.Dropped; got != n {
+		t.Fatalf("%s: finished %d + dropped %d (faults) + %d (admission) = %d, want %d",
+			label, report.Requests, report.Faults.Dropped, report.Admission.Dropped, got, n)
 	}
 }
 
@@ -224,6 +227,98 @@ func TestChaosSweep(t *testing.T) {
 					disagg = b
 				}
 			})
+		}
+	}
+}
+
+// TestChaosElastic is the harness's elastic leg: crash plans swept
+// across failure pressure and checkpoint cadence, layered under an
+// autoscaler on both routers (the online router scales the whole
+// fleet, the disaggregated router its decode pool), at one and four
+// workers, with the same exactly-once and byte-identity asserts.
+func TestChaosElastic(t *testing.T) {
+	long := os.Getenv("TDPIPE_CHAOS_LONG") == "1"
+	cfg := chaosConfig()
+	const replicas = 4
+	reqs := chaosTrace(100, 59)
+	n := len(reqs)
+
+	lw := func() fleet.Policy {
+		p, err := fleet.New(fleet.LeastWork, fleet.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	// Autoscalers carry state, so every run builds its own.
+	scaler := func(max int) *policy.Stack {
+		as, err := policy.NewAutoscaler(policy.AutoscalerConfig{
+			Min: 1, Max: max, Interval: 0.01, ScaleUpQueue: 2, ScaleDownQueue: 0.5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &policy.Stack{Autoscaler: as}
+	}
+	base, err := fleet.RunOnline(cfg, replicas, lw(), reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	horizon := base.Report.Elapsed
+
+	seeds := []int64{131}
+	if long {
+		seeds = []int64{131, 232, 333}
+	}
+	for _, mtbf := range []float64{1, 0.5} {
+		for _, ckpt := range []float64{0, 1.0 / 8} {
+			for _, seed := range seeds {
+				mtbf, ckpt, seed := mtbf, ckpt, seed
+				t.Run(fmt.Sprintf("mtbf_%gh-ckpt_%gh/seed%d", mtbf, ckpt, seed), func(t *testing.T) {
+					fc := faults.Config{
+						Seed:               seed,
+						Horizon:            horizon,
+						MTBF:               mtbf * horizon,
+						RestartDelay:       horizon / 10,
+						CheckpointInterval: ckpt * horizon,
+					}
+					plan, err := faults.NewPlan(fc, replicas, fc.RestartDelay)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var online, disagg string
+					for i, workers := range []int{1, 1, 4} {
+						res, err := fleet.RunOnlineLayers(cfg, replicas, lw(), reqs, plan, scaler(replicas), workers)
+						if err != nil {
+							t.Fatalf("online workers=%d: %v", workers, err)
+						}
+						label := fmt.Sprintf("online workers=%d", workers)
+						checkChaosConservation(t, label, res.Report, res.Records, n)
+						if res.Report.Faults.Crashes != len(plan.Crashes) || res.Report.Autoscale.Ticks == 0 {
+							t.Fatalf("%s: %d of %d crashes, %d autoscaler ticks", label,
+								res.Report.Faults.Crashes, len(plan.Crashes), res.Report.Autoscale.Ticks)
+						}
+						b := marshalChaos(t, res.Report, res.Records)
+						if i > 0 && b != online {
+							t.Fatalf("%s diverged from the first run", label)
+						}
+						online = b
+
+						dc := fleet.DisaggConfig{PrefillReplicas: 2, DecodeReplicas: 2, Workers: workers, Stack: scaler(2)}
+						dres, err := fleet.RunDisaggFaults(cfg, dc, reqs, plan)
+						if err != nil {
+							t.Fatalf("disagg workers=%d: %v", workers, err)
+						}
+						label = fmt.Sprintf("disagg workers=%d", workers)
+						checkChaosConservation(t, label, dres.Report, dres.Records, n)
+						b = marshalChaos(t, dres.Report, dres.Records)
+						if i > 0 && b != disagg {
+							t.Fatalf("%s diverged from the first run", label)
+						}
+						disagg = b
+					}
+				})
+			}
 		}
 	}
 }

@@ -328,8 +328,7 @@ func (p *Plan) TransferDone(start, dur float64) float64 {
 // sourced from the given replica: a replica whose rack is inside a
 // network domain outage sees those partition windows merged over the
 // shared timeline. Replica -1 — or any replica without domain
-// impairments — uses the shared timeline; checkpoint restores from
-// stable storage take that path.
+// impairments — uses the shared timeline.
 func (p *Plan) TransferDoneFrom(replica int, start, dur float64) float64 {
 	if p == nil {
 		return start + dur

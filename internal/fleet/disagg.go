@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/costmodel"
 	"repro/internal/faults"
 	"repro/internal/kvcache"
 	"repro/internal/metrics"
@@ -122,12 +121,12 @@ type handoffItem struct {
 // executes on the control timeline.
 type disaggRouter struct {
 	ledger
-	ctl *sim.Engine
+	// faultLayer's plan is nil without fault injection; it prices
+	// hand-off transfers and holds the control timeline either way.
+	faultLayer
 	fab *fabric
 	// p and d are the prefill and decode pools.
-	p, d       book
-	blockBytes float64
-	xferTime   func(bytes float64) float64
+	p, d book
 
 	items []handoffItem
 	// pending holds item indices whose transfer completed but which no
@@ -136,14 +135,8 @@ type disaggRouter struct {
 	handoffs int
 	moved    float64
 	queued   int
-	err      error
 
-	// plan is nil without fault injection.
-	plan *faults.Plan
-	// queuedPrefill holds origins waiting for a live prefill replica.
-	queuedPrefill []int
-	fstats        metrics.FaultStats
-	astats        metrics.AdmissionStats
+	astats metrics.AdmissionStats
 
 	// dpool owns the decode pool's elastic lifecycle when
 	// DisaggConfig.Stack carries an autoscaler; nil keeps it static.
@@ -167,7 +160,7 @@ func RunDisagg(cfg core.Config, dc DisaggConfig, reqs []workload.Request) (*Disa
 // link timeline, and crash-lost requests are re-dispatched — resumed
 // from their periodic KV checkpoint on the decode pool when one exists,
 // re-prefilled from scratch through the prefill pool otherwise.
-// Requests that exhaust the retry budget or fit nowhere when the run
+// Requests that exhaust the recovery budget or fit nowhere when the run
 // drains are dropped with a reason and accounted in Report.Faults. An
 // active plan must be drawn for exactly PrefillReplicas+DecodeReplicas
 // replicas (ErrPlanFleetMismatch otherwise); a nil or inactive plan
@@ -210,15 +203,12 @@ func RunDisaggFaults(cfg core.Config, dc DisaggConfig, reqs []workload.Request, 
 		breakers = dc.Stack.Breaker
 	}
 	ro := &disaggRouter{
-		ledger:     newLedger(reqs),
-		ctl:        fab.ctl,
-		fab:        fab,
-		p:          newBook(ppolicy, engines[:np], breakers),
-		d:          newBook(dpolicy, engines[np:], breakers),
-		blockBytes: kvBlockBytes(cfg),
-		xferTime:   costmodel.KVTransfer(cfg.Node),
-		plan:       plan,
+		ledger: newLedger(reqs),
+		fab:    fab,
+		p:      newBook(ppolicy, engines[:np], breakers),
+		d:      newBook(dpolicy, engines[np:], breakers),
 	}
+	ro.faultLayer = newFaultLayer(cfg, plan, ro, &ro.ledger, fab.ctl)
 	if dc.Stack != nil && dc.Stack.Autoscaler != nil {
 		ro.dpool = newElasticPool(cfg, dc.Stack.Autoscaler, dc.DecodeReplicas)
 	}
@@ -245,12 +235,7 @@ func RunDisaggFaults(cfg core.Config, dc DisaggConfig, reqs []workload.Request, 
 	for _, idx := range workload.SortByArrival(reqs) {
 		fab.ctl.AtFunc(sim.Time(reqs[idx].ArrivalTime), disaggArrivalEvent, ro, idx, 0)
 	}
-	if plan != nil {
-		for ci, c := range plan.Crashes {
-			fab.ctl.AtFunc(sim.Time(c.At), disaggCrashEvent, ro, ci, 0)
-			fab.ctl.AtFunc(sim.Time(c.RestartAt), disaggRestoreEvent, ro, ci, 0)
-		}
-	}
+	ro.scheduleFaults()
 	if ro.dpool != nil {
 		fab.ctl.AtFunc(ro.dpool.tickInterval(), dtickEvent, ro, 0, 0)
 	}
@@ -269,9 +254,7 @@ func RunDisaggFaults(cfg core.Config, dc DisaggConfig, reqs []workload.Request, 
 		for _, item := range ro.pending {
 			ro.drop(ro.items[item].origin, "stranded hand-off: fits no decode replica")
 		}
-		for _, origin := range ro.queuedPrefill {
-			ro.drop(origin, "no live prefill replica")
-		}
+		ro.dropWaiting()
 	}
 	results, err := finalize(engines, ro.err)
 	if err != nil {
@@ -342,19 +325,13 @@ func disaggArrivalEvent(ctx any, idx, _ int) {
 // arrivals forever.
 func (ro *disaggRouter) dispatchPrefill(origin int) {
 	r := ro.reqs[origin]
-	now := float64(ro.ctl.Now())
-	if skips := ro.offerPrefill(r, now, true); skips > 0 && len(ro.p.candScratch) == 0 {
-		ro.offerPrefill(r, now, false)
-	} else {
-		ro.astats.BreakerSkips += skips
-	}
-	k, err := ro.p.pick(r, now)
+	k, err := ro.p.route(r, float64(ro.ctl.Now()), nil, true, &ro.astats.BreakerSkips)
 	switch {
 	case err != nil:
 		ro.err = err
 		return
 	case k < 0:
-		ro.queuedPrefill = append(ro.queuedPrefill, origin)
+		ro.waiting = append(ro.waiting, pendingRec{origin: origin})
 		return
 	}
 	local, err := ro.p.engines[k].Submit(r)
@@ -371,21 +348,6 @@ func (ro *disaggRouter) dispatchPrefill(origin int) {
 	}
 	ro.p.add(r, origin, k, local)
 	ro.land(origin, k, local)
-}
-
-// offerPrefill offers every live prefill replica, skipping (and
-// counting) breaker-open ones when gate is set.
-func (ro *disaggRouter) offerPrefill(r workload.Request, now float64, gate bool) (skips int) {
-	for i, e := range ro.p.engines {
-		switch {
-		case !e.Alive():
-		case gate && ro.p.tripped(i, now):
-			skips++
-		default:
-			ro.p.offer(i, e.PrefixWarmTokens(r))
-		}
-	}
-	return skips
 }
 
 // prefillFinished is the prefill engines' completion hook; it fires
@@ -550,105 +512,36 @@ func (ro *disaggRouter) drainPending() {
 	ro.pending = kept
 }
 
-// poolOf maps a fleet replica index to its pool and pool-local index.
-func (ro *disaggRouter) poolOf(replica int) (*book, int) {
+// bookOf maps a fleet replica index to its pool and pool-local index.
+func (ro *disaggRouter) bookOf(replica int) (*book, int) {
 	if np := len(ro.p.engines); replica >= np {
 		return &ro.d, replica - np
 	}
 	return &ro.p, replica
 }
 
-// disaggCrashEvent executes one planned replica failure (AtFunc: ctx
-// is the router, a the crash index in the plan). The replica's
-// in-flight requests are aborted and re-dispatched: resumed from their
-// KV checkpoint on the decode pool when one exists, re-prefilled
-// through the prefill pool otherwise.
-func disaggCrashEvent(ctx any, ci, _ int) {
-	ro := ctx.(*disaggRouter)
-	if ro.err != nil {
-		return
-	}
-	c := ro.plan.Crashes[ci]
-	b, k := ro.poolOf(c.Replica)
-	lost, err := b.engines[k].Crash(sim.Time(c.RestartAt))
-	if err != nil {
-		ro.err = fmt.Errorf("fleet: crash of replica %d: %w", c.Replica, err)
-		return
-	}
-	origins := make([]int, len(lost))
-	for i, l := range lost {
-		origins[i] = b.retire(k, l.Local)
-	}
-	if b.breakers != nil {
-		// A crash is a failure signal per aborted request — at least
-		// one even when the replica was idle — so repeated outages
-		// open the breaker and routing stops probing the replica.
-		now := float64(ro.ctl.Now())
-		for i := 0; i < max(len(lost), 1); i++ {
-			b.breakers[k].OnFailure(now)
-		}
-	}
-	for i, l := range lost {
-		ro.recover(origins[i], l)
-	}
+// resume ships a crash-lost request's checkpoint back over the KV link
+// and re-enters the decode pool through the hand-off machinery
+// (placement, headroom queueing and the pending drain all behave
+// exactly as for a fresh hand-off).
+func (ro *disaggRouter) resume(origin int, l core.Lost, bytes float64, done sim.Time) {
+	ck := l.Ckpt
+	h := core.Handoff{Local: -1, Req: ro.reqs[origin], KV: ck.KV, Generated: ck.Generated, FirstTokenAt: ck.FirstTokenAt, At: ro.ctl.Now()}
+	ro.items = append(ro.items, handoffItem{origin: origin, h: h, recovery: true})
+	ro.moved += bytes
+	ro.ctl.AtFunc(done, transferDoneEvent, ro, len(ro.items)-1, 0)
 }
 
-// recover re-dispatches one crash-lost request, spending one retry.
-func (ro *disaggRouter) recover(origin int, l core.Lost) {
-	if ro.err != nil || !ro.retry(origin, ro.plan.MaxRetries()) {
-		return
-	}
-	if l.Ckpt != nil {
-		// Checkpoint resume: ship the snapshot back over the KV link
-		// and re-enter the decode pool through the hand-off machinery
-		// (placement, headroom queueing and the pending drain all
-		// behave exactly as for a fresh hand-off).
-		now := ro.ctl.Now()
-		h := core.Handoff{
-			Local:        -1,
-			Req:          ro.reqs[origin],
-			KV:           l.Ckpt.KV,
-			Generated:    l.Ckpt.Generated,
-			FirstTokenAt: l.Ckpt.FirstTokenAt,
-			At:           now,
-		}
-		ro.items = append(ro.items, handoffItem{origin: origin, h: h, recovery: true})
-		bytes := float64(l.Ckpt.KV.Blocks()) * ro.blockBytes
-		ro.moved += bytes
-		done := ro.plan.TransferDone(float64(now), ro.xferTime(bytes))
-		ro.ctl.AtFunc(sim.Time(done), transferDoneEvent, ro, len(ro.items)-1, 0)
-		return
-	}
-	// Recompute resume: the whole lifecycle restarts through the
-	// prefill pool (the generation already delivered is redone there —
-	// Faults.LostOutputTokens accounts it).
-	ro.fstats.RecoveredRecompute++
-	ro.dispatchPrefill(origin)
-}
+// dispatch restarts a request's whole lifecycle through the prefill
+// pool (for a crash-lost request the generation already delivered is
+// redone there; Faults.LostOutputTokens accounts it).
+func (ro *disaggRouter) dispatch(pr pendingRec) { ro.dispatchPrefill(pr.origin) }
 
-// disaggRestoreEvent brings a crashed replica back at its restart
-// instant and drains work that queued while it was (or everything was)
-// down.
-func disaggRestoreEvent(ctx any, ci, _ int) {
-	ro := ctx.(*disaggRouter)
-	if ro.err != nil {
-		return
-	}
-	c := ro.plan.Crashes[ci]
-	b, k := ro.poolOf(c.Replica)
-	if err := b.engines[k].Restore(); err != nil {
-		ro.err = fmt.Errorf("fleet: restore of replica %d: %w", c.Replica, err)
-		return
-	}
-	if b == &ro.p {
-		q := ro.queuedPrefill
-		ro.queuedPrefill = nil
-		for _, origin := range q {
-			ro.dispatchPrefill(origin)
-		}
-	} else if len(ro.pending) > 0 {
-		// Retry after the control events at this instant settle: the
-		// restored replica may now import what others could not.
+// restored retries queued hand-offs after a decode replica's restore,
+// once the control events at this instant settle: the restored replica
+// may now import what others could not.
+func (ro *disaggRouter) restored(b *book) {
+	if b == &ro.d && len(ro.pending) > 0 {
 		ro.ctl.AtFunc(ro.ctl.Now(), drainPendingEvent, ro, 0, 0)
 	}
 }
@@ -680,11 +573,7 @@ func (ro *disaggRouter) result(cfg core.Config, dc DisaggConfig, results []*core
 	if err != nil {
 		return nil, err
 	}
-	ro.fstats.Dropped = ro.dropped
-	if ro.plan != nil {
-		ro.fstats.DomainOutages = len(ro.plan.Domains)
-	}
-	rep.Faults.Add(ro.fstats)
+	rep.Faults.Add(ro.faultStats(ro.dropped))
 	ro.astats.BreakerTrips = ro.p.trips() + ro.d.trips()
 	rep.Admission = ro.astats
 	if ro.dpool != nil {

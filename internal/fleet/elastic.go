@@ -54,7 +54,7 @@ func (ro *router) admit(origin int) {
 	}
 	if ro.stack != nil && ro.stack.Admission != nil && !ro.stack.Admission.Allow(float64(ro.ctl.Now())) {
 		ro.astats.Shed++
-		ro.requeue(origin, "shed by admission control")
+		ro.requeue(origin, "shed by admission control; admission retry budget exhausted")
 		return
 	}
 	ro.dispatch(pendingRec{origin: origin, fresh: true})
@@ -111,9 +111,10 @@ func tickEvent(ctx any, _, _ int) {
 }
 
 // signals builds the autoscaler's windowed SLO view and resets the
-// window.
+// window. Crash-lost requests waiting for a live replica count as
+// queued demand.
 func (ro *router) signals() policy.Signals {
-	queued := 0
+	queued := len(ro.waiting)
 	var win []float64
 	for i := range ro.engines {
 		queued += ro.outstanding[i].Requests
@@ -136,11 +137,13 @@ func (ro *router) signals() policy.Signals {
 }
 
 // activateEvent completes one scale-up: the replica's weights are
-// loaded and it joins routing.
+// loaded, it joins routing, and crash-lost requests that found no live
+// replica are dispatched again.
 func activateEvent(ctx any, k, _ int) {
 	ro := ctx.(*router)
 	if ro.err != nil {
 		return
 	}
 	ro.pool.activate(k)
+	ro.dispatchWaiting()
 }

@@ -15,30 +15,6 @@ func faultTrace(n int, seed int64) []workload.Request {
 	return workload.StampArrivals(smallTrace(n, seed), workload.Poisson{Rate: 2000}, seed+1)
 }
 
-// checkFaultConservation asserts the fault-run invariant from the
-// outside: every trace request either finished (exactly one finished
-// record, counted in Report.Requests) or was dropped with accounting in
-// Report.Faults.Dropped — nothing lost silently.
-func checkFaultConservation(t *testing.T, res *Result, n int) {
-	t.Helper()
-	if len(res.Records) != n {
-		t.Fatalf("%d records for %d requests", len(res.Records), n)
-	}
-	finished := 0
-	for _, rec := range res.Records {
-		if rec.Finished() {
-			finished++
-		}
-	}
-	if finished != res.Report.Requests {
-		t.Fatalf("%d finished records, report says %d", finished, res.Report.Requests)
-	}
-	if got := res.Report.Requests + res.Report.Faults.Dropped; got != n {
-		t.Fatalf("finished %d + dropped %d = %d, want %d",
-			res.Report.Requests, res.Report.Faults.Dropped, got, n)
-	}
-}
-
 // An inactive plan must take the exact RunOnline code path: reports and
 // records bit-identical.
 func TestRunOnlineFaultsInactivePlan(t *testing.T) {
@@ -93,7 +69,7 @@ func TestRunOnlineFaultsConservation(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d ckpt %v: %v", seed, ckpt, err)
 			}
-			checkFaultConservation(t, res, len(reqs))
+			checkExactlyOnce(t, res.Report, res.Records, len(reqs))
 			f := res.Report.Faults
 			if f.Crashes != len(plan.Crashes) {
 				t.Errorf("seed %d: executed %d of %d planned crashes", seed, f.Crashes, len(plan.Crashes))

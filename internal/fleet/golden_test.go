@@ -88,10 +88,16 @@ func goldenCases(t *testing.T) []goldenCase {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkFaultConservation(t, res, len(crashy))
+			checkExactlyOnce(t, res.Report, res.Records, len(crashy))
 			return fullJSON(t, res.Report, res.Records)
 		}}
 	}
+	disaggStack := func(t *testing.T) *policy.Stack {
+		s := decodeScalerStack(t, 3)
+		s.Breaker = &policy.BreakerConfig{FailureThreshold: 4, Cooldown: 0.1, HalfOpenSuccesses: 2}
+		return s
+	}
+	layeredPlan := goldenPlan(t, onlineFaults, 4)
 	disagg := func(name string, reqs []workload.Request, plan *faults.Plan, stack func(*testing.T) *policy.Stack) goldenCase {
 		return goldenCase{name, func(t *testing.T, workers int) []byte {
 			dc := DisaggConfig{PrefillReplicas: 2, DecodeReplicas: 3, Workers: workers}
@@ -102,6 +108,7 @@ func goldenCases(t *testing.T) []goldenCase {
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkExactlyOnce(t, res.Report, res.Records, len(reqs))
 			return fullJSON(t, res.Report, res.Records)
 		}}
 	}
@@ -128,16 +135,26 @@ func goldenCases(t *testing.T) []goldenCase {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkElasticConservation(t, res, len(tiered))
+			checkExactlyOnce(t, res.Report, res.Records, len(tiered))
 			return fullJSON(t, res.Report, res.Records)
 		}},
 		disagg("disagg", plain, nil, nil),
 		disagg("disagg-faults-domains", crashy, goldenPlan(t, disaggDomains, 5), nil),
-		disagg("disagg-elastic", plain, nil, func(t *testing.T) *policy.Stack {
-			s := decodeScalerStack(t, 3)
-			s.Breaker = &policy.BreakerConfig{FailureThreshold: 4, Cooldown: 0.1, HalfOpenSuccesses: 2}
-			return s
-		}),
+		disagg("disagg-elastic", plain, nil, disaggStack),
+		// Both layers at once: crashes land while the autoscaler
+		// breathes the fleet and the front door sheds and retries.
+		{"online-faults-elastic", func(t *testing.T, workers int) []byte {
+			res, err := RunOnlineLayers(cfg, 4, mustPolicy(t, LeastWork, Options{}), crashy, layeredPlan, elasticStack(t, 4), workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkExactlyOnce(t, res.Report, res.Records, len(crashy))
+			if res.Report.Faults.Crashes == 0 || res.Report.Autoscale.Ticks == 0 {
+				t.Fatalf("a layer did nothing: %+v, %+v", res.Report.Faults, res.Report.Autoscale)
+			}
+			return fullJSON(t, res.Report, res.Records)
+		}},
+		disagg("disagg-faults-elastic", crashy, goldenPlan(t, onlineFaults, 5), disaggStack),
 	}
 }
 

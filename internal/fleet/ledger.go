@@ -80,6 +80,39 @@ func (b *book) tripped(i int, now float64) bool {
 	return b.breakers != nil && !b.breakers[i].Routable(now)
 }
 
+// route offers r to every live replica that ep lets take traffic and
+// picks one, returning -1 when none was offered. Breaker-open replicas
+// are skipped and counted in *skips; when they are all that is live and
+// fallback is set they are offered anyway, so a fully-tripped pool
+// degrades instead of stalling.
+func (b *book) route(r workload.Request, now float64, ep *elasticPool, fallback bool, skips *int) (int, error) {
+	if n := b.offerLive(r, now, ep, true); n > 0 && fallback && len(b.candScratch) == 0 {
+		b.offerLive(r, now, ep, false)
+	} else {
+		*skips += n
+	}
+	return b.pick(r, now)
+}
+
+// offerLive offers every live replica that ep lets take traffic, with
+// the resident share of r's shared prefix (warm blocks included, so
+// affinity survives request completion). When gate is set breaker-open
+// replicas are skipped and counted.
+//
+//det:hotpath
+func (b *book) offerLive(r workload.Request, now float64, ep *elasticPool, gate bool) (skips int) {
+	for i, e := range b.engines {
+		switch {
+		case !e.Alive() || !ep.routable(i):
+		case gate && b.tripped(i, now):
+			skips++
+		default:
+			b.offer(i, e.PrefixWarmTokens(r))
+		}
+	}
+	return skips
+}
+
 // pick runs the pool policy over the candidate snapshot and resets it.
 // It returns -1 when no replica was offered; a pick that leaves the
 // snapshot is an error. A probing pick consumes its breaker's
@@ -150,10 +183,19 @@ type ledger struct {
 	final []recRef
 	// fin[origin] counts terminal finishes. Finish hooks write it from
 	// shard goroutines; each origin has one live copy at a time.
-	fin           []int32
+	fin []int32
+	// attempts[origin] counts front-door retries (the policy layer's
+	// backoff budget); recoveries[origin] counts re-dispatches after
+	// crashes (the fault plan's budget). Neither spends the other.
 	attempts      []int32
+	recoveries    []int32
 	droppedReason []string
-	dropped       int
+	// dropped counts drops; lostDrops those of requests a crash had
+	// lost (with both layers on, the fault layer's share).
+	dropped, lostDrops int
+	// err is the first error that stopped the run; control events
+	// return early once it is set.
+	err error
 }
 
 func newLedger(reqs []workload.Request) ledger {
@@ -163,6 +205,7 @@ func newLedger(reqs []workload.Request) ledger {
 		final:         make([]recRef, n),
 		fin:           make([]int32, n),
 		attempts:      make([]int32, n),
+		recoveries:    make([]int32, n),
 		droppedReason: make([]string, n),
 	}
 }
@@ -177,15 +220,18 @@ func (l *ledger) drop(origin int, reason string) {
 	if l.droppedReason[origin] == "" {
 		l.droppedReason[origin] = reason
 		l.dropped++
+		if l.recoveries[origin] > 0 {
+			l.lostDrops++
+		}
 	}
 }
 
-// retry spends one attempt of origin's re-dispatch budget, dropping the
-// request once more than budget attempts are spent.
-func (l *ledger) retry(origin, budget int) bool {
-	l.attempts[origin]++
-	if int(l.attempts[origin]) > budget {
-		l.drop(origin, "retry budget exhausted")
+// recovery spends one attempt of origin's crash-recovery budget,
+// dropping the request once more than budget attempts are spent.
+func (l *ledger) recovery(origin, budget int) bool {
+	l.recoveries[origin]++
+	if int(l.recoveries[origin]) > budget {
+		l.drop(origin, "recovery budget exhausted")
 		return false
 	}
 	return true

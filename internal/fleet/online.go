@@ -6,9 +6,7 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/costmodel"
 	"repro/internal/faults"
-	"repro/internal/kvcache"
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/sim"
@@ -29,13 +27,6 @@ var ErrInvalidArrival = errors.New("fleet: invalid arrival time")
 // the wrong pool, so both routers reject the plan (wrapped with both
 // sizes) before any engine is built.
 var ErrPlanFleetMismatch = errors.New("fleet: fault plan drawn for a different fleet size")
-
-// ErrLayersDoNotCompose reports an online run given both an active
-// fault plan and an active policy stack. Crashes during autoscaler
-// drains and the interplay of the two retry budgets have no defined
-// semantics yet, so the router refuses the pair before any engine is
-// built.
-var ErrLayersDoNotCompose = errors.New("fleet: fault injection and the policy stack do not compose yet (crashes during drains and the two retry budgets have no defined semantics); run them separately")
 
 // validateArrivals rejects traces with negative or NaN arrival stamps.
 // Closed-loop traces (all zeros) pass: zero is a valid instant.
@@ -73,15 +64,6 @@ func replicaConfig(cfg core.Config, plan *faults.Plan, i int) core.Config {
 	return cfg
 }
 
-// kvBlockBytes is the KV footprint of one block across the model.
-func kvBlockBytes(cfg core.Config) float64 {
-	bs := cfg.BlockSize
-	if bs <= 0 {
-		bs = kvcache.DefaultBlockSize
-	}
-	return float64(bs) * cfg.Spec.KVBytesPerToken()
-}
-
 // RunOnline serves an arrival-stamped trace as an online router: every
 // replica engine runs on ONE shared virtual clock, and each request is
 // routed at its arrival instant. Unlike the offline pre-shard
@@ -109,14 +91,6 @@ func RunOnlineWorkers(cfg core.Config, replicas int, p Policy, reqs []workload.R
 	return RunOnlineLayers(cfg, replicas, p, reqs, nil, nil, workers)
 }
 
-// pendingRec is one dispatchable unit: a fresh arrival or a crash-lost
-// request awaiting re-dispatch (its checkpoint, if any, rides along).
-type pendingRec struct {
-	origin int
-	fresh  bool
-	lost   core.Lost
-}
-
 // router is the online router: one replica pool on the fabric, with an
 // optional fault layer (plan: crash, restore and checkpoint-resume
 // events, faults.go) and an optional policy layer (stack: admission,
@@ -128,18 +102,12 @@ type pendingRec struct {
 type router struct {
 	book
 	ledger
-	ctl *sim.Engine
-	// plan is nil without a fault layer.
-	plan *faults.Plan
-	// queued holds requests that found no live replica, dispatched
-	// again at the next restore.
-	queued []pendingRec
+	// faultLayer's plan is nil without a fault layer; its ctl is the
+	// control timeline.
+	faultLayer
 	// items holds checkpoint restores in flight (KV reloading from
 	// stable storage before re-import).
-	items      []pendingRec
-	blockBytes float64
-	xferTime   func(bytes float64) float64
-	fstats     metrics.FaultStats
+	items []pendingRec
 
 	// stack is nil without a policy layer.
 	stack *policy.Stack
@@ -151,25 +119,23 @@ type router struct {
 	winTTFT [][]float64
 	ttftSLO float64
 	astats  metrics.AdmissionStats
-
-	err error
 }
 
 // RunOnlineLayers serves reqs on replicas engines of cfg under dispatch
 // policy p with an optional fault layer (plan, see RunOnlineFaults) and
 // an optional policy layer (stack, see RunOnlineElastic), on workers
 // simulation workers (see RunOnlineWorkers). A nil or inactive plan or
-// stack is an absent layer; with both active the run is refused with
-// ErrLayersDoNotCompose.
+// stack is an absent layer. The two compose: admission retries and
+// crash recoveries spend separate budgets, a crash-lost request never
+// passes the front door again, and each drop is counted once, in
+// Report.Faults when a crash had lost the request and in
+// Report.Admission otherwise.
 func RunOnlineLayers(cfg core.Config, replicas int, p Policy, reqs []workload.Request, plan *faults.Plan, stack *policy.Stack, workers int) (*Result, error) {
 	if !plan.Active() {
 		plan = nil
 	}
 	if !stack.Active() {
 		stack = nil
-	}
-	if plan != nil && stack != nil {
-		return nil, ErrLayersDoNotCompose
 	}
 	if replicas <= 0 {
 		return nil, fmt.Errorf("fleet: replicas = %d", replicas)
@@ -183,14 +149,7 @@ func RunOnlineLayers(cfg core.Config, replicas int, p Policy, reqs []workload.Re
 	if err := checkPlan(plan, replicas); err != nil {
 		return nil, err
 	}
-	ro := &router{
-		ledger:     newLedger(reqs),
-		plan:       plan,
-		blockBytes: kvBlockBytes(cfg),
-		xferTime:   costmodel.KVTransfer(cfg.Node),
-		stack:      stack,
-		ttftSLO:    cfg.SLO.TTFT,
-	}
+	ro := &router{ledger: newLedger(reqs), stack: stack, ttftSLO: cfg.SLO.TTFT}
 	var breakers *policy.BreakerConfig
 	if stack != nil {
 		if as := stack.Autoscaler; as != nil {
@@ -207,7 +166,7 @@ func RunOnlineLayers(cfg core.Config, replicas int, p Policy, reqs []workload.Re
 	}
 	fab := newFabric(ResolveWorkers(workers, replicas))
 	fab.addTier(0, replicas)
-	ro.ctl = fab.ctl
+	ro.faultLayer = newFaultLayer(cfg, plan, ro, &ro.ledger, fab.ctl)
 	engines, err := startEngines(fab, replicas, func(i int) core.Config { return replicaConfig(cfg, plan, i) })
 	if err != nil {
 		return nil, err
@@ -224,12 +183,7 @@ func RunOnlineLayers(cfg core.Config, replicas int, p Policy, reqs []workload.Re
 	for _, idx := range workload.SortByArrival(reqs) {
 		fab.ctl.AtFunc(sim.Time(reqs[idx].ArrivalTime), admitEvent, ro, idx, 0)
 	}
-	if plan != nil {
-		for ci, c := range plan.Crashes {
-			fab.ctl.AtFunc(sim.Time(c.At), crashEvent, ro, ci, 0)
-			fab.ctl.AtFunc(sim.Time(c.RestartAt), restoreEvent, ro, ci, 0)
-		}
-	}
+	ro.scheduleFaults()
 	if ro.pool != nil {
 		fab.ctl.AtFunc(ro.pool.tickInterval(), tickEvent, ro, 0, 0)
 	}
@@ -237,9 +191,7 @@ func RunOnlineLayers(cfg core.Config, replicas int, p Policy, reqs []workload.Re
 	defer fab.stopWorkers()
 	fab.run()
 	if ro.err == nil {
-		for _, q := range ro.queued {
-			ro.drop(q.origin, "no live replica")
-		}
+		ro.dropWaiting()
 	}
 	results, err := finalize(engines, ro.err)
 	if err != nil {
@@ -254,22 +206,23 @@ func RunOnlineLayers(cfg core.Config, replicas int, p Policy, reqs []workload.Re
 
 // dispatch routes one request to a live, routable replica: fresh
 // arrivals submit normally, crash-lost requests resume via
-// SubmitRecovered. With no candidate the policy layer re-admits the
-// request on its backoff schedule; otherwise it queues until a restart.
+// SubmitRecovered. With no candidate the policy layer re-admits a fresh
+// arrival on its backoff schedule. A crash-lost request skips the front
+// door: it falls back past open breakers and otherwise queues until the
+// next restore or scale-up activation.
 func (ro *router) dispatch(pr pendingRec) {
 	r := ro.reqs[pr.origin]
 	now := float64(ro.ctl.Now())
-	ro.snapshot(r, nil, now)
-	k, err := ro.pick(r, now)
+	k, err := ro.route(r, now, ro.pool, !pr.fresh, &ro.astats.BreakerSkips)
 	switch {
 	case err != nil:
 		ro.err = err
 		return
-	case k < 0 && ro.stack != nil:
-		ro.requeue(pr.origin, "no routable replica")
+	case k < 0 && pr.fresh && ro.stack != nil:
+		ro.requeue(pr.origin, "no routable replica; admission retry budget exhausted")
 		return
 	case k < 0:
-		ro.queued = append(ro.queued, pr)
+		ro.waiting = append(ro.waiting, pr)
 		return
 	}
 	var local int
@@ -301,33 +254,57 @@ func (ro *router) dispatch(pr pendingRec) {
 	ro.land(pr.origin, k, local)
 }
 
-// snapshot offers every replica that may take r right now, with two
-// live probes of its KV pool: how much of r's shared prefix is
-// resident (warm blocks included, so affinity survives request
-// completion) and the free-KV headroom pool-aware policies rank on.
-// With a checkpoint ck the request re-imports its KV instead, so only
-// replicas that can receive and hold it qualify — a replica inside a
-// network domain outage keeps serving but cannot receive KV — and
-// warmth is the resident share of the checkpointed blocks.
-//
-//det:hotpath
-func (ro *router) snapshot(r workload.Request, ck *core.Checkpoint, now float64) {
-	for i, e := range ro.engines {
-		if !e.Alive() || !ro.pool.routable(i) {
-			continue
-		}
-		if ck != nil {
-			if e.CanImportKV(ck.KV) && !ro.plan.PartitionedAt(i, now) {
-				ro.offer(i, e.ResidentKVTokens(ck.KV))
-			}
-			continue
-		}
-		if ro.tripped(i, now) {
-			ro.astats.BreakerSkips++
-			continue
-		}
-		ro.offer(i, e.PrefixWarmTokens(r))
+// bookOf maps a fleet replica to the router's single pool.
+func (ro *router) bookOf(replica int) (*book, int) { return &ro.book, replica }
+
+// resume waits for a checkpoint's reload; resumeEvent places it.
+func (ro *router) resume(origin int, l core.Lost, _ float64, done sim.Time) {
+	ro.items = append(ro.items, pendingRec{origin: origin, lost: l})
+	ro.ctl.AtFunc(done, resumeEvent, ro, len(ro.items)-1, 0)
+}
+
+// restored has nothing to add to the fault layer's re-dispatch.
+func (ro *router) restored(*book) {}
+
+// resumeEvent places a reloaded checkpoint on a live, routable replica
+// that can receive and hold its KV — a replica inside a network domain
+// outage keeps serving but cannot receive KV — ranked by the resident
+// share of the checkpointed blocks. With none available, or when the
+// import fails at arrival (the target died or lost its headroom in this
+// very instant), it falls back to recompute recovery on the same
+// attempt instead of waiting.
+func resumeEvent(ctx any, item, _ int) {
+	ro := ctx.(*router)
+	it := ro.items[item]
+	if ro.err != nil || ro.droppedReason[it.origin] != "" {
+		return
 	}
+	ck := it.lost.Ckpt
+	r := ro.reqs[it.origin]
+	now := float64(ro.ctl.Now())
+	for i, e := range ro.engines {
+		if e.Alive() && ro.pool.routable(i) && e.CanImportKV(ck.KV) && !ro.plan.PartitionedAt(i, now) {
+			ro.offer(i, e.ResidentKVTokens(ck.KV))
+		}
+	}
+	k, err := ro.pick(r, now)
+	if err != nil {
+		ro.err = err
+		return
+	}
+	if k >= 0 {
+		h := core.Handoff{Local: -1, Req: r, KV: ck.KV, Generated: ck.Generated, FirstTokenAt: ck.FirstTokenAt, At: ro.ctl.Now()}
+		if local, err := ro.engines[k].SubmitDecoded(r, h); err == nil {
+			ro.fstats.RecoveredCheckpoint++
+			ro.add(r, it.origin, k, local)
+			ro.land(it.origin, k, local)
+			return
+		}
+	}
+	lost := it.lost
+	lost.Ckpt = nil
+	ro.fstats.RecoveredRecompute++
+	ro.dispatch(pendingRec{origin: it.origin, lost: lost})
 }
 
 // finished is the engines' completion hook: it retires the request
@@ -346,6 +323,8 @@ func (ro *router) finished(replica, local int) {
 func (ro *router) result(cfg core.Config, results []*core.Result) (*Result, error) {
 	mode := "FleetOnline"
 	switch {
+	case ro.plan != nil && ro.stack != nil:
+		mode = "FleetFaultsElastic"
 	case ro.plan != nil:
 		mode = "FleetFaults"
 	case ro.stack != nil:
@@ -363,16 +342,20 @@ func (ro *router) result(cfg core.Config, results []*core.Result) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
+	// Each drop is counted once: with both layers on, a request a crash
+	// had lost is the fault layer's drop, any other the policy layer's.
+	faultDrops, admitDrops := ro.dropped, ro.dropped
+	if ro.plan != nil && ro.stack != nil {
+		faultDrops, admitDrops = ro.lostDrops, ro.dropped-ro.lostDrops
+	}
 	if ro.plan != nil {
-		ro.fstats.Dropped = ro.dropped
-		ro.fstats.DomainOutages = len(ro.plan.Domains)
-		rep.Faults.Add(ro.fstats)
+		rep.Faults.Add(ro.faultStats(faultDrops))
 	}
 	if ro.stack != nil {
 		if ro.pool != nil {
 			rep.Autoscale = ro.pool.finish(rep.Elapsed, cfg.World)
 		}
-		ro.astats.Dropped = ro.dropped
+		ro.astats.Dropped = admitDrops
 		ro.astats.BreakerTrips = ro.trips()
 		rep.Admission = ro.astats
 	}

@@ -240,7 +240,7 @@ type FaultStats struct {
 	// checkpoint instead.
 	RecoveredRecompute  int
 	RecoveredCheckpoint int
-	// Dropped counts requests abandoned with a reason (retry budget
+	// Dropped counts requests abandoned with a reason (recovery budget
 	// exhausted, or unplaceable when the run drained).
 	Dropped int
 	// LostOutputTokens sums output tokens that were resident on a

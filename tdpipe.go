@@ -188,9 +188,9 @@ type FleetRun struct {
 	// Nil or an inactive plan is no fault layer.
 	Faults *FaultPlan
 	// Policies is the policy layer: the front-door policy stack and
-	// autoscaler. Nil or an empty stack is no policy layer. It does
-	// not compose with an active fault plan yet
-	// (fleet.ErrLayersDoNotCompose).
+	// autoscaler. Nil or an empty stack is no policy layer. It
+	// composes with Faults: crash-lost requests skip the front door
+	// and spend the plan's recovery budget, not the admission retries.
 	Policies *PolicyStack
 }
 
@@ -208,7 +208,7 @@ type FleetRun struct {
 // With run.Faults, crashed replicas abort their in-flight requests,
 // routing skips dead replicas, and aborted work is re-dispatched
 // (recompute, or resumed from the latest periodic KV checkpoint when
-// cfg.CheckpointInterval is set) under the plan's retry budget;
+// cfg.CheckpointInterval is set) under the plan's recovery budget;
 // Report.Faults carries the recovery accounting. With run.Policies,
 // admission sheds and retries arrivals, breakers take SLO-violating
 // replicas out of routing, high tiers preempt low tiers' KV, and the

@@ -1,11 +1,6 @@
 package tdpipe
 
-import (
-	"errors"
-	"testing"
-
-	"repro/internal/fleet"
-)
+import "testing"
 
 func TestFacadeEndToEnd(t *testing.T) {
 	trace, err := NewTrace(3000, 7)
@@ -139,8 +134,8 @@ func TestFacadeOnlineServing(t *testing.T) {
 // The facade's fault-injection path: a seeded plan drawn through
 // NewFaultPlan injects crashes into RunFleet, recovery accounting lands
 // in Report.Faults, conservation holds (finished + dropped covers the
-// trace), and an active policy stack beside the plan is refused with
-// fleet.ErrLayersDoNotCompose.
+// trace), and it still holds with an active policy stack beside the
+// plan, each drop counted once across Faults and Admission.
 func TestFacadeFaultInjection(t *testing.T) {
 	trace, err := NewTrace(3000, 17)
 	if err != nil {
@@ -196,8 +191,14 @@ func TestFacadeFaultInjection(t *testing.T) {
 	}
 
 	both := FleetRun{Faults: plan, Policies: &PolicyStack{Admission: NewTokenBucket(40, 8)}}
-	if _, err := RunFleet(cfg, 3, FleetLeastWork, stamped, both); !errors.Is(err, fleet.ErrLayersDoNotCompose) {
-		t.Errorf("faults + policy stack: err = %v, want ErrLayersDoNotCompose", err)
+	layered, err := RunFleet(cfg, 3, FleetLeastWork, stamped, both)
+	if err != nil {
+		t.Fatalf("faults + policy stack: %v", err)
+	}
+	lr := layered.Report
+	if got := lr.Requests + lr.Faults.Dropped + lr.Admission.Dropped; got != len(stamped) {
+		t.Errorf("faults + policy stack: finished %d + dropped %d (faults) + %d (admission) != %d requests",
+			lr.Requests, lr.Faults.Dropped, lr.Admission.Dropped, len(stamped))
 	}
 
 	if _, err := NewFaultPlan(FaultConfig{MTBF: -1}, 3, 0); err == nil {
