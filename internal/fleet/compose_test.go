@@ -140,3 +140,30 @@ func TestLedgerBudgetsAreSeparate(t *testing.T) {
 		t.Errorf("lostDrops %d of %d drops, want 1 of 2", l.lostDrops, l.dropped)
 	}
 }
+
+// A checkpoint resume follows the breakers like any other placement:
+// replica 0 comes back from a crash with its breaker open, so the
+// checkpoints replica 1's crash loses resume on replica 2, the only
+// breaker-closed replica that can import them, even though the
+// just-restored, empty replica 0 is the least-loaded one.
+func TestCheckpointResumeSkipsOpenBreakers(t *testing.T) {
+	cfg := fastConfig(2)
+	cfg.SLO.TTFT = 1e9
+	reqs := faultTrace(80, 7)
+	plan := &faults.Plan{Replicas: 3, Config: faults.Config{CheckpointInterval: 0.002}, Crashes: []faults.Crash{
+		{Replica: 0, At: 0, RestartAt: 0.001},
+		{Replica: 1, At: 0.03, RestartAt: 0.08},
+	}}
+	stack := &policy.Stack{Breaker: &policy.BreakerConfig{FailureThreshold: 1, Cooldown: 10, HalfOpenSuccesses: 1}}
+	res, err := RunOnlineLayers(cfg, 3, mustPolicy(t, LeastWork, Options{}), reqs, plan, stack, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkExactlyOnce(t, res.Report, res.Records, len(reqs))
+	if res.Report.Faults.RecoveredCheckpoint == 0 {
+		t.Fatal("no request resumed from a checkpoint; crash replica 1 later")
+	}
+	if n := len(res.Shards[0].Reqs); n != 0 {
+		t.Errorf("%d requests landed on the breaker-open replica 0", n)
+	}
+}

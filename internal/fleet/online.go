@@ -269,10 +269,11 @@ func (ro *router) restored(*book) {}
 // resumeEvent places a reloaded checkpoint on a live, routable replica
 // that can receive and hold its KV — a replica inside a network domain
 // outage keeps serving but cannot receive KV — ranked by the resident
-// share of the checkpointed blocks. With none available, or when the
-// import fails at arrival (the target died or lost its headroom in this
-// very instant), it falls back to recompute recovery on the same
-// attempt instead of waiting.
+// share of the checkpointed blocks. Breaker-open replicas are skipped
+// unless they are the only ones that can import it. With none
+// available, or when the import fails at arrival (the target died or
+// lost its headroom in this very instant), it falls back to recompute
+// recovery on the same attempt instead of waiting.
 func resumeEvent(ctx any, item, _ int) {
 	ro := ctx.(*router)
 	it := ro.items[item]
@@ -282,10 +283,22 @@ func resumeEvent(ctx any, item, _ int) {
 	ck := it.lost.Ckpt
 	r := ro.reqs[it.origin]
 	now := float64(ro.ctl.Now())
-	for i, e := range ro.engines {
-		if e.Alive() && ro.pool.routable(i) && e.CanImportKV(ck.KV) && !ro.plan.PartitionedAt(i, now) {
-			ro.offer(i, e.ResidentKVTokens(ck.KV))
+	offer := func(gate bool) (skips int) {
+		for i, e := range ro.engines {
+			switch {
+			case !e.Alive() || !ro.pool.routable(i) || !e.CanImportKV(ck.KV) || ro.plan.PartitionedAt(i, now):
+			case gate && ro.tripped(i, now):
+				skips++
+			default:
+				ro.offer(i, e.ResidentKVTokens(ck.KV))
+			}
 		}
+		return skips
+	}
+	if skips := offer(true); skips > 0 && len(ro.candScratch) == 0 {
+		offer(false)
+	} else {
+		ro.astats.BreakerSkips += skips
 	}
 	k, err := ro.pick(r, now)
 	if err != nil {
