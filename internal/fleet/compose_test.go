@@ -3,25 +3,35 @@ package fleet
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/workload"
 )
 
-// checkExactlyOnce asserts conservation from the outside for any
-// layering: one record per request, finished records matching the
-// report, and finished plus the drops of both layers covering the
-// trace (a layer that is off reports no drops).
-func checkExactlyOnce(t *testing.T, rep metrics.Report, records []metrics.RequestRecord, n int) {
+// checkExactlyOnce asserts conservation and physical sanity from the
+// outside for any layering: one record per request, finished records
+// matching the report, and finished plus the drops of both layers
+// covering the trace (a layer that is off reports no drops). A finished
+// record arrives no later than its first token, which comes no later
+// than its finish, and carries output; a dropped record carries none.
+// scaled holds the results of the replicas an autoscaler provisions
+// (the online fleet, the disaggregated decode pool; nil without one):
+// their busy GPU-seconds fit inside the provisioned GPU-seconds the
+// autoscaler reports.
+func checkExactlyOnce(t *testing.T, rep metrics.Report, records []metrics.RequestRecord, n int, scaled []*core.Result) {
 	t.Helper()
 	if len(records) != n {
 		t.Fatalf("%d records for %d requests", len(records), n)
 	}
 	finished := 0
 	for _, rec := range records {
-		if rec.Finished() {
+		switch {
+		case rec.Finished():
 			finished++
+		case rec.OutputTokens != 0 || rec.FirstToken != 0 || rec.Finish != 0:
+			t.Fatalf("request %d is unfinished but carries output: %+v", rec.ID, rec)
 		}
 	}
 	if finished != rep.Requests {
@@ -30,6 +40,19 @@ func checkExactlyOnce(t *testing.T, rep metrics.Report, records []metrics.Reques
 	if got := rep.Requests + rep.Faults.Dropped + rep.Admission.Dropped; got != n {
 		t.Fatalf("finished %d + dropped %d (faults) + %d (admission) = %d, want %d",
 			rep.Requests, rep.Faults.Dropped, rep.Admission.Dropped, got, n)
+	}
+	if !rep.Autoscale.Any() {
+		return
+	}
+	if scaled == nil {
+		t.Fatal("an autoscaler ran; pass the results of the pool it scaled")
+	}
+	busy := 0.0
+	for _, r := range scaled {
+		busy += r.Report.MeanUtilization * r.Report.Elapsed * float64(r.Report.GPUs)
+	}
+	if gs := rep.Autoscale.GPUSeconds; busy > gs*(1+1e-9) {
+		t.Fatalf("the autoscaled pool was busy %v GPU-seconds but provisioned only %v", busy, gs)
 	}
 }
 
@@ -58,7 +81,7 @@ func TestLayersComposeLostRequestsSkipFrontDoor(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := res.Report
-	checkExactlyOnce(t, rep, res.Records, n)
+	checkExactlyOnce(t, rep, res.Records, n, res.Replicas)
 	if rep.Faults.AbortedRequests == 0 {
 		t.Fatal("the crashes aborted nothing; move them earlier")
 	}
@@ -84,7 +107,7 @@ func TestCrashFeedsOnlineBreakers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkExactlyOnce(t, res.Report, res.Records, len(reqs))
+	checkExactlyOnce(t, res.Report, res.Records, len(reqs), res.Replicas)
 	if res.Report.Admission.BreakerTrips == 0 {
 		t.Error("the crash tripped no breaker")
 	}
@@ -108,7 +131,7 @@ func TestActivationDispatchesWaitingRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkExactlyOnce(t, res.Report, res.Records, n)
+	checkExactlyOnce(t, res.Report, res.Records, n, res.Replicas)
 	if res.Report.Requests != n || res.Report.Faults.AbortedRequests == 0 || res.Report.Autoscale.ScaleUps == 0 {
 		t.Fatalf("finished %d of %d, %d aborted, %d scale-ups", res.Report.Requests, n,
 			res.Report.Faults.AbortedRequests, res.Report.Autoscale.ScaleUps)
@@ -159,7 +182,7 @@ func TestCheckpointResumeSkipsOpenBreakers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkExactlyOnce(t, res.Report, res.Records, len(reqs))
+	checkExactlyOnce(t, res.Report, res.Records, len(reqs), res.Replicas)
 	if res.Report.Faults.RecoveredCheckpoint == 0 {
 		t.Fatal("no request resumed from a checkpoint; crash replica 1 later")
 	}

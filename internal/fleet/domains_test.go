@@ -57,7 +57,7 @@ func TestRunOnlineFaultsDomainPower(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
 		}
-		checkExactlyOnce(t, res.Report, res.Records, len(reqs))
+		checkExactlyOnce(t, res.Report, res.Records, len(reqs), res.Replicas)
 		f := res.Report.Faults
 		if f.DomainOutages != len(plan.Domains) {
 			t.Errorf("workers %d: report carries %d domain outages, plan has %d",

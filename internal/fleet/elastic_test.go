@@ -67,7 +67,7 @@ func TestParallelElasticByteIdenticalToSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		checkExactlyOnce(t, res.Report, res.Records, len(reqs))
+		checkExactlyOnce(t, res.Report, res.Records, len(reqs), res.Replicas)
 		return fullJSON(t, res.Report, res.Records)
 	}
 	seq := run(1)
@@ -96,7 +96,7 @@ func TestElasticAutoscalerBreathes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkExactlyOnce(t, res.Report, res.Records, len(reqs))
+	checkExactlyOnce(t, res.Report, res.Records, len(reqs), res.Replicas)
 	a := res.Report.Autoscale
 	if !a.Any() {
 		t.Fatal("no autoscale activity recorded")
@@ -132,7 +132,7 @@ func TestElasticAdmissionShedsAndRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkExactlyOnce(t, res.Report, res.Records, len(reqs))
+	checkExactlyOnce(t, res.Report, res.Records, len(reqs), res.Replicas)
 	ad := res.Report.Admission
 	if ad.Shed == 0 || ad.Retries == 0 || ad.Dropped == 0 {
 		t.Fatalf("starved bucket produced no policy activity: %+v", ad)
@@ -175,7 +175,7 @@ func TestElasticPreemption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkExactlyOnce(t, res.Report, res.Records, len(reqs))
+	checkExactlyOnce(t, res.Report, res.Records, len(reqs), res.Replicas)
 	if res.Report.Admission.Preemptions == 0 {
 		t.Fatalf("KV-tight priority trace caused no preemptions: %+v", res.Report.Admission)
 	}

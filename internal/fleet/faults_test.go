@@ -69,7 +69,7 @@ func TestRunOnlineFaultsConservation(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d ckpt %v: %v", seed, ckpt, err)
 			}
-			checkExactlyOnce(t, res.Report, res.Records, len(reqs))
+			checkExactlyOnce(t, res.Report, res.Records, len(reqs), res.Replicas)
 			f := res.Report.Faults
 			if f.Crashes != len(plan.Crashes) {
 				t.Errorf("seed %d: executed %d of %d planned crashes", seed, f.Crashes, len(plan.Crashes))

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/hw"
 	"repro/internal/metrics"
@@ -27,6 +28,9 @@ const (
 // replicas and a seed, and asserts on every input:
 //   - exactly-once conservation: each request finishes xor drops, and
 //     the report counts each drop once;
+//   - physical sanity (checkExactlyOnce): arrival <= first token <=
+//     finish with output for finished requests, no output for dropped
+//     ones, and provisioned GPU-seconds covering busy ones;
 //   - worker invariance: workers 1 and 4 produce identical bytes;
 //   - inactive-layer identity: a nil or empty plan and stack give the
 //     plain run's bytes.
@@ -82,26 +86,28 @@ func fuzzFleet(t *testing.T, seed int64, features uint8, replicas int) {
 	policies := []string{LeastWork, PredictedCost, PrefixAffinity, RoundRobin, Random}
 	name := policies[rng.Intn(len(policies))]
 
-	run := func(plan *faults.Plan, stack *policy.Stack, workers int) (metrics.Report, []metrics.RequestRecord) {
+	// run returns the report, the records and the results of the pool an
+	// autoscaler would scale.
+	run := func(plan *faults.Plan, stack *policy.Stack, workers int) (metrics.Report, []metrics.RequestRecord, []*core.Result) {
 		if disagg {
 			dc := DisaggConfig{PrefillReplicas: replicas - pool, DecodeReplicas: pool, Workers: workers, Stack: stack}
 			res, err := RunDisaggFaults(cfg, dc, reqs, plan)
 			if err != nil {
 				t.Fatalf("disagg workers=%d: %v", workers, err)
 			}
-			return res.Report, res.Records
+			return res.Report, res.Records, res.Decode
 		}
 		res, err := RunOnlineLayers(cfg, replicas, mustPolicy(t, name, Options{Seed: seed}), reqs, plan, stack, workers)
 		if err != nil {
 			t.Fatalf("online workers=%d: %v", workers, err)
 		}
-		return res.Report, res.Records
+		return res.Report, res.Records, res.Replicas
 	}
 	check := func(label string, plan *faults.Plan, stack func() *policy.Stack) []byte {
-		rep, records := run(plan, stack(), 1)
-		checkExactlyOnce(t, rep, records, len(reqs))
+		rep, records, scaled := run(plan, stack(), 1)
+		checkExactlyOnce(t, rep, records, len(reqs), scaled)
 		b := fullJSON(t, rep, records)
-		if rep4, records4 := run(plan, stack(), 4); !bytes.Equal(b, fullJSON(t, rep4, records4)) {
+		if rep4, records4, _ := run(plan, stack(), 4); !bytes.Equal(b, fullJSON(t, rep4, records4)) {
 			t.Fatalf("%s: workers=4 diverges from workers=1", label)
 		}
 		return b
@@ -113,7 +119,7 @@ func fuzzFleet(t *testing.T, seed int64, features uint8, replicas int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep, records := run(inactive, &policy.Stack{}, 1); !bytes.Equal(plain, fullJSON(t, rep, records)) {
+	if rep, records, _ := run(inactive, &policy.Stack{}, 1); !bytes.Equal(plain, fullJSON(t, rep, records)) {
 		t.Fatal("an inactive plan and an empty stack changed the plain run's bytes")
 	}
 

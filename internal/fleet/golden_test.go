@@ -88,7 +88,7 @@ func goldenCases(t *testing.T) []goldenCase {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkExactlyOnce(t, res.Report, res.Records, len(crashy))
+			checkExactlyOnce(t, res.Report, res.Records, len(crashy), res.Replicas)
 			return fullJSON(t, res.Report, res.Records)
 		}}
 	}
@@ -108,7 +108,7 @@ func goldenCases(t *testing.T) []goldenCase {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkExactlyOnce(t, res.Report, res.Records, len(reqs))
+			checkExactlyOnce(t, res.Report, res.Records, len(reqs), res.Decode)
 			return fullJSON(t, res.Report, res.Records)
 		}}
 	}
@@ -135,7 +135,7 @@ func goldenCases(t *testing.T) []goldenCase {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkExactlyOnce(t, res.Report, res.Records, len(tiered))
+			checkExactlyOnce(t, res.Report, res.Records, len(tiered), res.Replicas)
 			return fullJSON(t, res.Report, res.Records)
 		}},
 		disagg("disagg", plain, nil, nil),
@@ -148,7 +148,7 @@ func goldenCases(t *testing.T) []goldenCase {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkExactlyOnce(t, res.Report, res.Records, len(crashy))
+			checkExactlyOnce(t, res.Report, res.Records, len(crashy), res.Replicas)
 			if res.Report.Faults.Crashes == 0 || res.Report.Autoscale.Ticks == 0 {
 				t.Fatalf("a layer did nothing: %+v, %+v", res.Report.Faults, res.Report.Autoscale)
 			}

@@ -103,7 +103,7 @@ func TestParallelOnlineFaultsByteIdenticalToSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		checkExactlyOnce(t, res.Report, res.Records, len(reqs))
+		checkExactlyOnce(t, res.Report, res.Records, len(reqs), res.Replicas)
 		return fullJSON(t, res.Report, res.Records)
 	}
 	seq := run(1)
@@ -181,7 +181,7 @@ func TestParallelCrossShardBoundaryProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d workers=%d: %v", seed, workers, err)
 			}
-			checkExactlyOnce(t, res.Report, res.Records, len(reqs))
+			checkExactlyOnce(t, res.Report, res.Records, len(reqs), res.Replicas)
 			return fullJSON(t, res.Report, res.Records)
 		}
 		disagg := func(workers int) []byte {
