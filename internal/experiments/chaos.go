@@ -88,7 +88,7 @@ func Chaos(e *Env) ([]ChaosRow, error) {
 		if err != nil {
 			return err
 		}
-		res, err := fleet.RunOnlineFaultsWorkers(cfg, chaosReplicas, p, open, plan, e.Opts.Workers)
+		res, err := fleet.RunOnlineLayers(cfg, chaosReplicas, p, open, plan, nil, e.Opts.Workers)
 		if err != nil {
 			return err
 		}

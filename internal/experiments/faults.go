@@ -100,7 +100,7 @@ func Faults(e *Env) ([]FaultsRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := fleet.RunOnlineFaultsWorkers(cfg, faultsReplicas, p, open, plan, e.Opts.Workers)
+			res, err := fleet.RunOnlineLayers(cfg, faultsReplicas, p, open, plan, nil, e.Opts.Workers)
 			if err != nil {
 				return nil, err
 			}
@@ -127,7 +127,7 @@ func Faults(e *Env) ([]FaultsRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	sres, err := fleet.RunOnlineFaultsWorkers(cfg, faultsReplicas, p, open, strag, e.Opts.Workers)
+	sres, err := fleet.RunOnlineLayers(cfg, faultsReplicas, p, open, strag, nil, e.Opts.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -155,7 +155,7 @@ func TestChaosSweep(t *testing.T) {
 		}
 		return p
 	}
-	base, err := fleet.RunOnline(cfg, replicas, policy(), reqs)
+	base, err := fleet.RunOnlineWorkers(cfg, replicas, policy(), reqs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestChaosSweep(t *testing.T) {
 				// identity), one at four (cross-worker identity).
 				var online string
 				for i, workers := range []int{1, 1, 4} {
-					res, err := fleet.RunOnlineFaultsWorkers(cfg, replicas, policy(), reqs, plan, workers)
+					res, err := fleet.RunOnlineLayers(cfg, replicas, policy(), reqs, plan, nil, workers)
 					if err != nil {
 						t.Fatalf("online workers=%d: %v", workers, err)
 					}
@@ -260,7 +260,7 @@ func TestChaosElastic(t *testing.T) {
 		}
 		return &policy.Stack{Autoscaler: as}
 	}
-	base, err := fleet.RunOnline(cfg, replicas, lw(), reqs)
+	base, err := fleet.RunOnlineWorkers(cfg, replicas, lw(), reqs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestChaosInactivePlan(t *testing.T) {
 		t.Fatal("empty config produced an active plan")
 	}
 
-	obase, err := fleet.RunOnline(cfg, replicas, policy(), reqs)
+	obase, err := fleet.RunOnlineWorkers(cfg, replicas, policy(), reqs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestChaosInactivePlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, plan := range []*faults.Plan{nil, inactive} {
-		ores, err := fleet.RunOnlineFaults(cfg, replicas, policy(), reqs, plan)
+		ores, err := fleet.RunOnlineLayers(cfg, replicas, policy(), reqs, plan, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,7 +16,7 @@ import (
 func onlineReportJSON(t *testing.T, cfg core.Config, reqs []workload.Request) []byte {
 	t.Helper()
 	p := mustPolicy(t, PredictedCost, Options{Seed: 1})
-	res, err := RunOnline(cfg, 4, p, reqs)
+	res, err := RunOnlineWorkers(cfg, 4, p, reqs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

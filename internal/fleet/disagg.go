@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/kvcache"
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/sim"
@@ -118,29 +117,19 @@ type handoffItem struct {
 // replicas form tier 0 and fleet replicas 0..P-1, decode replicas tier
 // 1 and fleet replicas P..P+D-1. Every router intervention (arrival
 // dispatch, transfer completion, crash, restore, pending drain)
-// executes on the control timeline.
+// executes on the control timeline. The control's elastic pool, when
+// DisaggConfig.Stack carries an autoscaler, scales the decode pool.
 type disaggRouter struct {
-	ledger
-	// faultLayer's plan is nil without fault injection; it prices
-	// hand-off transfers and holds the control timeline either way.
-	faultLayer
-	fab *fabric
+	control
 	// p and d are the prefill and decode pools.
-	p, d book
+	p, d *book
 
 	items []handoffItem
 	// pending holds item indices whose transfer completed but which no
 	// decode replica can import yet, in completion order.
-	pending  []int
-	handoffs int
-	moved    float64
-	queued   int
-
-	astats metrics.AdmissionStats
-
-	// dpool owns the decode pool's elastic lifecycle when
-	// DisaggConfig.Stack carries an autoscaler; nil keeps it static.
-	dpool *elasticPool
+	pending []int
+	moved   float64
+	queued  int
 }
 
 // RunDisagg serves an arrival-stamped trace on a disaggregated fleet:
@@ -166,52 +155,21 @@ func RunDisagg(cfg core.Config, dc DisaggConfig, reqs []workload.Request) (*Disa
 // replicas (ErrPlanFleetMismatch otherwise); a nil or inactive plan
 // produces RunDisagg's output byte for byte.
 func RunDisaggFaults(cfg core.Config, dc DisaggConfig, reqs []workload.Request, plan *faults.Plan) (*DisaggResult, error) {
-	if !plan.Active() {
-		plan = nil
-	}
 	if err := dc.Validate(); err != nil {
 		return nil, err
 	}
-	ppolicy, err := New(LeastWork, Options{Predictor: cfg.Predictor})
-	if err != nil {
-		return nil, err
-	}
-	dpolicy, err := New(DecodeAffinity, Options{Predictor: cfg.Predictor})
-	if err != nil {
-		return nil, err
-	}
-	if err := validateArrivals(reqs); err != nil {
-		return nil, err
-	}
-	np, total := dc.PrefillReplicas, dc.PrefillReplicas+dc.DecodeReplicas
-	if err := checkPlan(plan, total); err != nil {
-		return nil, err
-	}
+	opts := Options{Predictor: cfg.Predictor}
+	ro := &disaggRouter{}
 	// Prefill and decode replicas never share a shard engine: the
 	// prefill tier advances to each control horizon first (discovering
 	// hand-offs), and the decode tier follows only after their
 	// transfer completions are on the control timeline.
-	fab := newFabric(ResolveWorkers(dc.Workers, total))
-	fab.addTier(0, np)
-	fab.addTier(1, dc.DecodeReplicas)
-	engines, err := startEngines(fab, total, func(i int) core.Config { return replicaConfig(cfg, plan, i) })
-	if err != nil {
+	if err := ro.build(ro, cfg, reqs, plan, dc.Stack, dc.Workers,
+		poolSpec{dc.PrefillReplicas, builtins[LeastWork](opts)},
+		poolSpec{dc.DecodeReplicas, builtins[DecodeAffinity](opts)}); err != nil {
 		return nil, err
 	}
-	var breakers *policy.BreakerConfig
-	if dc.Stack != nil {
-		breakers = dc.Stack.Breaker
-	}
-	ro := &disaggRouter{
-		ledger: newLedger(reqs),
-		fab:    fab,
-		p:      newBook(ppolicy, engines[:np], breakers),
-		d:      newBook(dpolicy, engines[np:], breakers),
-	}
-	ro.faultLayer = newFaultLayer(cfg, plan, ro, &ro.ledger, fab.ctl)
-	if dc.Stack != nil && dc.Stack.Autoscaler != nil {
-		ro.dpool = newElasticPool(cfg, dc.Stack.Autoscaler, dc.DecodeReplicas)
-	}
+	ro.p, ro.d = ro.books[0], ro.books[1]
 	for i, e := range ro.p.engines {
 		i := i
 		e.SetOnFinish(func(local int) { ro.prefillFinished(i, local) })
@@ -219,72 +177,35 @@ func RunDisaggFaults(cfg core.Config, dc DisaggConfig, reqs []workload.Request, 
 		// epoch window: buffer them on the shard; the coordinator
 		// drains the buffers in canonical order at the barrier and
 		// feeds them to ro.handoff.
-		e.SetHandoff(func(h core.Handoff) { fab.note(i, h) })
+		e.SetHandoff(func(h core.Handoff) { ro.fab.note(i, h) })
 	}
 	for i, e := range ro.d.engines {
 		i := i
 		e.SetOnFinish(func(local int) { ro.decodeFinished(i, local) })
 	}
-	fab.onNote = ro.handoff
-	fab.pendingWork = func() bool { return len(ro.pending) > 0 }
-	fab.drainAt = ro.drainPending
-
-	// One control event per request at its arrival instant, in
-	// (arrival, trace index) order so simultaneous arrivals route in
-	// trace order.
-	for _, idx := range workload.SortByArrival(reqs) {
-		fab.ctl.AtFunc(sim.Time(reqs[idx].ArrivalTime), disaggArrivalEvent, ro, idx, 0)
-	}
-	ro.scheduleFaults()
-	if ro.dpool != nil {
-		fab.ctl.AtFunc(ro.dpool.tickInterval(), dtickEvent, ro, 0, 0)
-	}
-	fab.start()
-	defer fab.stopWorkers()
-	fab.run()
-	if ro.err == nil && plan == nil && len(ro.pending) > 0 {
-		it := ro.items[ro.pending[0]]
-		ro.err = fmt.Errorf("fleet: %d hand-offs stranded: request %d (%d KV blocks) fits no decode replica",
-			len(ro.pending), it.origin, it.h.KV.Blocks())
-	}
-	if ro.err == nil {
-		// The run drained with work still unplaceable: account it as
-		// dropped-with-reason instead of failing the run (a fault run is
-		// allowed to lose requests, never to lose them silently).
-		for _, item := range ro.pending {
-			ro.drop(ro.items[item].origin, "stranded hand-off: fits no decode replica")
-		}
-		ro.dropWaiting()
-	}
-	results, err := finalize(engines, ro.err)
+	ro.fab.onNote = ro.handoff
+	ro.fab.pendingWork = func() bool { return len(ro.pending) > 0 }
+	ro.fab.drainAt = ro.drainPending
+	results, err := ro.run()
 	if err != nil {
 		return nil, err
 	}
-	res, err := ro.result(cfg, dc, results)
-	if err == nil {
-		res.Steps = fab.Steps()
-	}
-	return res, err
+	return ro.result(cfg, dc, results)
 }
 
-// dtickEvent is one decode-pool autoscaler evaluation on the control
-// timeline.
-func dtickEvent(ctx any, _, _ int) {
-	ro := ctx.(*disaggRouter)
-	if ro.err != nil {
+// drained fails a fault-free run that stranded hand-offs, and otherwise
+// drops them with a reason: a fault run is allowed to lose requests,
+// never to lose them silently.
+func (ro *disaggRouter) drained() {
+	if ro.plan == nil && len(ro.pending) > 0 {
+		it := ro.items[ro.pending[0]]
+		ro.err = fmt.Errorf("fleet: %d hand-offs stranded: request %d (%d KV blocks) fits no decode replica",
+			len(ro.pending), it.origin, it.h.KV.Blocks())
 		return
 	}
-	// Keep ticking while any request is unresolved. A handed-off
-	// request is counted once by its prefill engine and once at its
-	// real decode finish, so subtract the hand-off count.
-	finished := -ro.handoffs
-	for _, e := range ro.p.engines {
-		finished += e.NumFinished()
+	for _, item := range ro.pending {
+		ro.drop(ro.items[item].origin, "stranded hand-off: fits no decode replica")
 	}
-	for _, e := range ro.d.engines {
-		finished += e.NumFinished()
-	}
-	ro.dpool.tick(ro.ctl, ro.d.outstanding, ro.signals, ro, dactivateEvent, dtickEvent, finished+ro.dropped < len(ro.reqs))
 }
 
 // signals is the decode pool's autoscaler view: resident decode
@@ -295,27 +216,15 @@ func (ro *disaggRouter) signals() policy.Signals {
 	for _, l := range ro.d.outstanding {
 		queued += l.Requests
 	}
-	return ro.dpool.signals(queued)
+	return ro.pool.signals(queued)
 }
 
-// dactivateEvent completes one decode-pool scale-up and immediately
-// retries queued hand-offs against the new headroom.
-func dactivateEvent(ctx any, k, _ int) {
-	ro := ctx.(*disaggRouter)
-	if ro.err != nil {
-		return
-	}
-	ro.dpool.activate(k)
-	ro.drainPending()
-}
+// activated retries queued hand-offs against a scaled-up decode
+// replica's headroom.
+func (ro *disaggRouter) activated() { ro.drainPending() }
 
-// disaggArrivalEvent fires at a request's arrival instant (AtFunc: ctx
-// is the router, a the trace index).
-func disaggArrivalEvent(ctx any, idx, _ int) {
-	if ro := ctx.(*disaggRouter); ro.err == nil {
-		ro.dispatchPrefill(idx)
-	}
-}
+// arrive routes an arrival to the prefill pool.
+func (ro *disaggRouter) arrive(origin int) { ro.dispatchPrefill(origin) }
 
 // dispatchPrefill routes origin's request to a live, breaker-routable
 // prefill replica (arrivals and crash recompute re-dispatches alike),
@@ -325,7 +234,7 @@ func disaggArrivalEvent(ctx any, idx, _ int) {
 // arrivals forever.
 func (ro *disaggRouter) dispatchPrefill(origin int) {
 	r := ro.reqs[origin]
-	k, err := ro.p.route(r, float64(ro.ctl.Now()), nil, true, &ro.astats.BreakerSkips)
+	k, err := ro.p.route(r, nil, float64(ro.ctl.Now()), true, &ro.astats.BreakerSkips)
 	switch {
 	case err != nil:
 		ro.err = err
@@ -407,24 +316,17 @@ func (ro *disaggRouter) place(item int) bool {
 	it := &ro.items[item]
 	r := ro.reqs[it.origin]
 	now := float64(ro.ctl.Now())
-	// lift is the earliest instant a partition excluding a replica
-	// here will end; a placement retry is scheduled there so work is
-	// never stranded behind an outage that outlives the decode pool's
-	// finish stream.
-	lift := -1.0
-	if skips := ro.offerDecode(it.h.KV, now, true, &lift); skips > 0 && len(ro.d.candScratch) == 0 {
-		ro.offerDecode(it.h.KV, now, false, &lift)
-	} else {
-		ro.astats.BreakerSkips += skips
-	}
-	k, err := ro.d.pick(r, now)
+	k, err := ro.d.route(r, &it.h.KV, now, true, &ro.astats.BreakerSkips)
 	switch {
 	case err != nil:
 		ro.err = err
 		return true
 	case k < 0:
-		if lift > now {
-			ro.ctl.AtFunc(sim.Time(lift), drainPendingEvent, ro, 0, 0)
+		// Retry when a partition that kept a replica out lifts, so work
+		// is never stranded behind an outage that outlives the decode
+		// pool's finish stream.
+		if ro.d.lift > now {
+			ro.ctl.AtFunc(sim.Time(ro.d.lift), drainPendingEvent, ro, 0, 0)
 		}
 		return false
 	}
@@ -451,28 +353,6 @@ func (ro *disaggRouter) place(item int) bool {
 	return true
 }
 
-// offerDecode offers every decode replica that can import kv at now:
-// active in the pool, alive, with headroom, and outside a network
-// domain outage (lift tracks the earliest end of such an outage). When
-// gate is set breaker-open replicas are skipped and counted.
-func (ro *disaggRouter) offerDecode(kv kvcache.ExportedSeq, now float64, gate bool, lift *float64) (skips int) {
-	np := len(ro.p.engines)
-	for i, e := range ro.d.engines {
-		switch {
-		case !ro.dpool.routable(i) || !e.Alive() || !e.CanImportKV(kv):
-		case ro.plan.PartitionedAt(np+i, now):
-			if end := ro.plan.PartitionLiftsAt(np+i, now); *lift < 0 || end < *lift {
-				*lift = end
-			}
-		case gate && ro.d.tripped(i, now):
-			skips++
-		default:
-			ro.d.offer(i, e.ResidentKVTokens(kv))
-		}
-	}
-	return skips
-}
-
 // decodeFinished retires a request from its decode replica's counters
 // and flags the finish on the replica's shard: when hand-offs are
 // queued for headroom, the fabric lockstep sees the flag and retries
@@ -483,8 +363,8 @@ func (ro *disaggRouter) decodeFinished(replica, local int) {
 	if ro.d.breakers != nil {
 		ro.d.breakers[replica].OnSuccess(t)
 	}
-	if ro.dpool != nil && ro.d.outstanding[replica].Requests == 0 {
-		ro.dpool.noteDrained(replica, t)
+	if ro.pool != nil && ro.d.outstanding[replica].Requests == 0 {
+		ro.pool.noteDrained(replica, t)
 	}
 	ro.fab.markFinish(len(ro.p.engines) + replica)
 }
@@ -512,14 +392,6 @@ func (ro *disaggRouter) drainPending() {
 	ro.pending = kept
 }
 
-// bookOf maps a fleet replica index to its pool and pool-local index.
-func (ro *disaggRouter) bookOf(replica int) (*book, int) {
-	if np := len(ro.p.engines); replica >= np {
-		return &ro.d, replica - np
-	}
-	return &ro.p, replica
-}
-
 // resume ships a crash-lost request's checkpoint back over the KV link
 // and re-enters the decode pool through the hand-off machinery
 // (placement, headroom queueing and the pending drain all behave
@@ -541,14 +413,15 @@ func (ro *disaggRouter) dispatch(pr pendingRec) { ro.dispatchPrefill(pr.origin) 
 // once the control events at this instant settle: the restored replica
 // may now import what others could not.
 func (ro *disaggRouter) restored(b *book) {
-	if b == &ro.d && len(ro.pending) > 0 {
+	if b == ro.d && len(ro.pending) > 0 {
 		ro.ctl.AtFunc(ro.ctl.Now(), drainPendingEvent, ro, 0, 0)
 	}
 }
 
 // result assembles the disaggregated run: conservation, records merged
 // across both pools, and the fleet report with its fault, breaker and
-// autoscale accounting.
+// autoscale accounting. Every drop is the fault layer's: disaggregated
+// serving has no front door.
 func (ro *disaggRouter) result(cfg core.Config, dc DisaggConfig, results []*core.Result) (*DisaggResult, error) {
 	np := dc.PrefillReplicas
 	res := &DisaggResult{
@@ -559,6 +432,7 @@ func (ro *disaggRouter) result(cfg core.Config, dc DisaggConfig, results []*core
 		Handoffs:         ro.handoffs,
 		TransferredBytes: ro.moved,
 		QueuedHandoffs:   ro.queued,
+		Steps:            ro.fab.Steps(),
 	}
 	mode := "DisaggFaults"
 	if ro.plan == nil {
@@ -569,17 +443,11 @@ func (ro *disaggRouter) result(cfg core.Config, dc DisaggConfig, results []*core
 			return nil, err
 		}
 	}
-	rep, records, err := ro.assemble(cfg, fmt.Sprintf("%s(TD-Pipe %dP+%dD)", mode, np, dc.DecodeReplicas), results)
+	var err error
+	res.Report, res.Records, err = ro.report(cfg, fmt.Sprintf("%s(TD-Pipe %dP+%dD)", mode, np, dc.DecodeReplicas), results, 0)
 	if err != nil {
 		return nil, err
 	}
-	rep.Faults.Add(ro.faultStats(ro.dropped))
-	ro.astats.BreakerTrips = ro.p.trips() + ro.d.trips()
-	rep.Admission = ro.astats
-	if ro.dpool != nil {
-		rep.Autoscale = ro.dpool.finish(rep.Elapsed, cfg.World)
-	}
-	res.Report, res.Records = rep, records
 	return res, nil
 }
 
@@ -588,47 +456,23 @@ func (ro *disaggRouter) result(cfg core.Config, dc DisaggConfig, results []*core
 // handed to at most one decode replica, and each replica completed
 // exactly its shard.
 func (r *DisaggResult) checkConservation(n int) error {
-	prefilled := make([]int, n)
-	for i, sh := range r.PrefillShards {
-		if len(sh.Reqs) != len(sh.Origin) {
-			return fmt.Errorf("fleet: prefill replica %d has %d requests but %d origins", i, len(sh.Reqs), len(sh.Origin))
-		}
-		if got := r.Prefill[i].Report.Requests; got != len(sh.Reqs) {
-			return fmt.Errorf("fleet: prefill replica %d completed %d of %d requests", i, got, len(sh.Reqs))
-		}
-		for _, o := range sh.Origin {
-			if o < 0 || o >= n {
-				return fmt.Errorf("fleet: prefill replica %d has origin %d outside trace of %d", i, o, n)
-			}
-			prefilled[o]++
-		}
+	prefilled, err := checkShards("prefill ", r.PrefillShards, r.Prefill, n)
+	if err != nil {
+		return err
 	}
-	for o, c := range prefilled {
-		if c != 1 {
-			return fmt.Errorf("fleet: request %d prefilled %d times", o, c)
-		}
-	}
-	decoded := make([]int, n)
-	for i, sh := range r.DecodeShards {
-		if len(sh.Reqs) != len(sh.Origin) {
-			return fmt.Errorf("fleet: decode replica %d has %d requests but %d origins", i, len(sh.Reqs), len(sh.Origin))
-		}
-		if got := r.Decode[i].Report.Requests; got != len(sh.Reqs) {
-			return fmt.Errorf("fleet: decode replica %d completed %d of %d requests", i, got, len(sh.Reqs))
-		}
-		for _, o := range sh.Origin {
-			if o < 0 || o >= n {
-				return fmt.Errorf("fleet: decode replica %d has origin %d outside trace of %d", i, o, n)
-			}
-			decoded[o]++
-		}
+	decoded, err := checkShards("decode ", r.DecodeShards, r.Decode, n)
+	if err != nil {
+		return err
 	}
 	handed := 0
-	for o, c := range decoded {
-		if c > 1 {
-			return fmt.Errorf("fleet: request %d decoded on %d replicas", o, c)
+	for o := range prefilled {
+		if prefilled[o] != 1 {
+			return fmt.Errorf("fleet: request %d prefilled %d times", o, prefilled[o])
 		}
-		handed += c
+		if decoded[o] > 1 {
+			return fmt.Errorf("fleet: request %d decoded on %d replicas", o, decoded[o])
+		}
+		handed += decoded[o]
 	}
 	if handed != r.Handoffs {
 		return fmt.Errorf("fleet: %d hand-offs recorded but %d requests placed on the decode pool", r.Handoffs, handed)

@@ -31,7 +31,7 @@ func TestRunOnlineFaultsDomainPower(t *testing.T) {
 	cfg := fastConfig(2)
 	const replicas = 4
 	reqs := faultTrace(120, 37)
-	base, err := RunOnline(cfg, replicas, mustPolicy(t, LeastWork, Options{}), reqs)
+	base, err := RunOnlineWorkers(cfg, replicas, mustPolicy(t, LeastWork, Options{}), reqs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestRunOnlineFaultsDomainPower(t *testing.T) {
 	}
 	var prev []byte
 	for _, workers := range []int{1, 4} {
-		res, err := RunOnlineFaultsWorkers(cfg, replicas, mustPolicy(t, LeastWork, Options{}), reqs, plan, workers)
+		res, err := RunOnlineLayers(cfg, replicas, mustPolicy(t, LeastWork, Options{}), reqs, plan, nil, workers)
 		if err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
 		}

@@ -19,36 +19,18 @@ import (
 // active replica set between Min and Max, paying a modeled cold-start
 // (weight-load) delay on every scale-up.
 
-// RunOnlineElastic is RunOnline under a policy stack. A nil or inactive
-// stack is an absent policy layer, so policy-free results are
-// byte-identical to RunOnline. replicas is the provisioned fleet — the
-// pool the autoscaler may grow into — and must cover the autoscaler's
-// Max. An autoscaler whose ColdStart is zero gets the modeled
-// weight-load time of one replica (faults.WeightReloadTime for the
-// run's node, model and world size).
-func RunOnlineElastic(cfg core.Config, replicas int, p Policy, reqs []workload.Request, stack *policy.Stack) (*Result, error) {
-	return RunOnlineElasticWorkers(cfg, replicas, p, reqs, stack, 1)
-}
-
-// RunOnlineElasticWorkers is RunOnlineElastic with an explicit worker
-// budget for the conservative parallel fabric (see RunOnlineWorkers).
-// Admission, retry, breaker, preemption and autoscale interventions
-// all execute on the control timeline, so reports are byte-identical
-// across worker counts.
+// RunOnlineElasticWorkers is RunOnlineLayers with a policy stack and
+// no fault plan. Admission, retry, breaker, preemption and autoscale
+// interventions all execute on the control timeline, so reports are
+// byte-identical across worker counts.
 func RunOnlineElasticWorkers(cfg core.Config, replicas int, p Policy, reqs []workload.Request, stack *policy.Stack, workers int) (*Result, error) {
 	return RunOnlineLayers(cfg, replicas, p, reqs, nil, stack, workers)
 }
 
-// admitEvent fires at a request's arrival instant (AtFunc: ctx is the
-// router, a the trace index), and again at each scheduled retry.
-func admitEvent(ctx any, idx, _ int) {
-	ctx.(*router).admit(idx)
-}
-
-// admit runs one request through the front door — the token bucket,
+// arrive runs one request through the front door — the token bucket,
 // when one is attached — and on to dispatch. A shed request re-enters
 // admission on the backoff schedule until its retry budget runs out.
-func (ro *router) admit(origin int) {
+func (ro *router) arrive(origin int) {
 	if ro.err != nil || ro.droppedReason[origin] != "" {
 		return
 	}
@@ -71,7 +53,7 @@ func (ro *router) requeue(origin int, reason string) {
 	ro.attempts[origin]++
 	ro.astats.Retries++
 	delay := bo.Delay(int(ro.attempts[origin]))
-	ro.ctl.AtFunc(ro.ctl.Now()+sim.Time(delay), admitEvent, ro, origin, 0)
+	ro.ctl.AtFunc(ro.ctl.Now()+sim.Time(delay), arriveEvent, &ro.control, origin, 0)
 }
 
 // observe feeds one completion to the policy layer: the autoscaler's
@@ -93,21 +75,6 @@ func (ro *router) observe(replica, local int) {
 	if ro.pool != nil && ro.outstanding[replica].Requests == 0 {
 		ro.pool.noteDrained(replica, t)
 	}
-}
-
-// tickEvent is one autoscaler evaluation on the control timeline.
-func tickEvent(ctx any, _, _ int) {
-	ro := ctx.(*router)
-	if ro.err != nil {
-		return
-	}
-	finished := 0
-	for _, e := range ro.engines {
-		finished += e.NumFinished()
-	}
-	// Keep ticking while any request is unresolved; once everything is
-	// terminal the timeline drains and the run ends.
-	ro.pool.tick(ro.ctl, ro.outstanding, ro.signals, ro, activateEvent, tickEvent, finished+ro.dropped < len(ro.reqs))
 }
 
 // signals builds the autoscaler's windowed SLO view and resets the
@@ -134,16 +101,4 @@ func (ro *router) signals() policy.Signals {
 		s.Goodput = float64(good) / float64(len(win))
 	}
 	return s
-}
-
-// activateEvent completes one scale-up: the replica's weights are
-// loaded, it joins routing, and crash-lost requests that found no live
-// replica are dispatched again.
-func activateEvent(ctx any, k, _ int) {
-	ro := ctx.(*router)
-	if ro.err != nil {
-		return
-	}
-	ro.pool.activate(k)
-	ro.dispatchWaiting()
 }

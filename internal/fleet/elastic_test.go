@@ -92,7 +92,7 @@ func TestElasticAutoscalerBreathes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunOnlineElastic(cfg, 4, mustPolicy(t, LeastWork, Options{}), reqs, &policy.Stack{Autoscaler: as})
+	res, err := RunOnlineLayers(cfg, 4, mustPolicy(t, LeastWork, Options{}), reqs, nil, &policy.Stack{Autoscaler: as}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestElasticAdmissionShedsAndRetries(t *testing.T) {
 		Admission: policy.NewTokenBucket(50, 1),
 		Retry:     policy.NewBackoff(policy.BackoffConfig{Base: 0.005, Max: 0.05, MaxAttempts: 2, Seed: 1}),
 	}
-	res, err := RunOnlineElastic(cfg, 2, mustPolicy(t, RoundRobin, Options{}), reqs, stack)
+	res, err := RunOnlineLayers(cfg, 2, mustPolicy(t, RoundRobin, Options{}), reqs, nil, stack, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestElasticAdmissionShedsAndRetries(t *testing.T) {
 		Admission: policy.NewTokenBucket(50, 1),
 		Retry:     policy.NewBackoff(policy.BackoffConfig{Base: 0.005, Max: 0.05, MaxAttempts: 2, Seed: 1}),
 	}
-	res2, err := RunOnlineElastic(cfg, 2, mustPolicy(t, RoundRobin, Options{}), reqs, stack2)
+	res2, err := RunOnlineLayers(cfg, 2, mustPolicy(t, RoundRobin, Options{}), reqs, nil, stack2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,9 +169,9 @@ func TestElasticPreemption(t *testing.T) {
 	if !workload.HasPriorities(reqs) {
 		t.Fatal("trace has no priority structure")
 	}
-	res, err := RunOnlineElastic(cfg, 1, mustPolicy(t, RoundRobin, Options{}), reqs, &policy.Stack{
+	res, err := RunOnlineLayers(cfg, 1, mustPolicy(t, RoundRobin, Options{}), reqs, nil, &policy.Stack{
 		Preemption: &policy.PreemptionConfig{},
-	})
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,10 +192,10 @@ func TestElasticRejectsBadConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunOnlineElastic(cfg, 2, mustPolicy(t, RoundRobin, Options{}), reqs, &policy.Stack{Autoscaler: as}); err == nil {
+	if _, err := RunOnlineLayers(cfg, 2, mustPolicy(t, RoundRobin, Options{}), reqs, nil, &policy.Stack{Autoscaler: as}, 1); err == nil {
 		t.Fatal("autoscaler Max above provisioned replicas must be rejected")
 	}
-	if _, err := RunOnlineElastic(cfg, 0, mustPolicy(t, RoundRobin, Options{}), reqs, elasticStack(t, 4)); err == nil {
+	if _, err := RunOnlineLayers(cfg, 0, mustPolicy(t, RoundRobin, Options{}), reqs, nil, elasticStack(t, 4), 1); err == nil {
 		t.Fatal("zero replicas must be rejected")
 	}
 	if _, err := RunOnlineElasticWorkers(cfg, 2, nil, reqs, elasticStack(t, 2), 1); err == nil {

@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/metrics"
@@ -19,10 +21,10 @@ const (
 // elasticPool owns the replica-lifecycle mechanics an autoscaled pool
 // needs: the per-replica state machine (idle / warming / active /
 // draining), the provisioned GPU-second spans, and the execution of
-// scale decisions. The online router's policy layer scales its whole
-// fleet with one; the disaggregated router scales its decode pool. A
-// nil pool means "static": every routable check passes and no
-// accounting happens.
+// scale decisions, driven by one autoscaler tick both routers share.
+// The online router's policy layer scales its whole fleet with one; the
+// disaggregated router scales its decode pool. A nil pool means
+// "static": every routable check passes and no accounting happens.
 type elasticPool struct {
 	as        *policy.Autoscaler
 	coldStart float64
@@ -89,21 +91,37 @@ func (ep *elasticPool) signals(queued int) policy.Signals {
 	return s
 }
 
-// tick runs one autoscaler evaluation at the control timeline's current
-// instant: reap finished drains, scale by the autoscaler's decision on
-// the router's signals (each scale-up schedules activate(ctx, k) after
-// the cold start), and schedule the next tick, again, while more
-// requests are unresolved. load is the pool's live per-replica load.
-func (ep *elasticPool) tick(ctl *sim.Engine, load []Load, signals func() policy.Signals, ctx any, activate, again sim.EventFunc, more bool) {
-	now := float64(ctl.Now())
+// tickEvent is one autoscaler evaluation on the control timeline
+// (AtFunc: ctx is the control): reap finished drains, scale by the
+// autoscaler's decision on the router's signals (each scale-up
+// activates after the cold start), and tick again while any request is
+// unresolved; once everything is terminal the timeline drains and the
+// run ends.
+func tickEvent(ctx any, _, _ int) {
+	c := ctx.(*control)
+	if c.err != nil {
+		return
+	}
+	ep, now := c.pool, float64(c.ctl.Now())
 	ep.reapDrains()
 	ep.stats.Ticks++
-	ep.scale(ep.as.Decide(now, signals()), now, load, func(k int) {
-		ctl.AtFunc(sim.Time(now+ep.coldStart), activate, ctx, k, 0)
+	ep.scale(ep.as.Decide(now, c.host.signals()), now, c.books[len(c.books)-1].outstanding, func(k int) {
+		c.ctl.AtFunc(sim.Time(now+ep.coldStart), activateEvent, c, k, 0)
 	})
-	if more {
-		ctl.AtFunc(ctl.Now()+ep.tickInterval(), again, ctx, 0, 0)
+	if c.unresolved() {
+		c.ctl.AtFunc(c.ctl.Now()+ep.tickInterval(), tickEvent, c, 0, 0)
 	}
+}
+
+// activateEvent completes one scale-up (AtFunc: ctx is the control, a
+// the pool-local replica) and lets the router use the new replica.
+func activateEvent(ctx any, k, _ int) {
+	c := ctx.(*control)
+	if c.err != nil {
+		return
+	}
+	c.pool.activate(k)
+	c.host.activated()
 }
 
 // provisioned counts replicas currently costing GPU time.
@@ -124,14 +142,7 @@ func (ep *elasticPool) provisioned() int {
 // index on ties).
 func (ep *elasticPool) scale(delta int, now float64, load []Load, warm func(k int)) {
 	for ; delta > 0; delta-- {
-		k := -1
-		for i := range ep.state {
-			if ep.state[i] == rIdle {
-				k = i
-				break
-			}
-		}
-		if k >= 0 {
+		if k := slices.Index(ep.state, rIdle); k >= 0 {
 			ep.state[k] = rWarming
 			ep.openStart[k] = now
 			ep.stats.ScaleUps++
@@ -140,12 +151,7 @@ func (ep *elasticPool) scale(delta int, now float64, load []Load, warm func(k in
 		} else {
 			// No idle replica: cancel a drain instead (the span stays
 			// open, no cold start to pay — weights are still loaded).
-			for i := range ep.state {
-				if ep.state[i] == rDraining {
-					k = i
-					break
-				}
-			}
+			k := slices.Index(ep.state, rDraining)
 			if k < 0 {
 				break
 			}

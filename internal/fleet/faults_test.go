@@ -21,12 +21,12 @@ func TestRunOnlineFaultsInactivePlan(t *testing.T) {
 	reqs := faultTrace(150, 3)
 	cfg := fastConfig(2)
 	p := mustPolicy(t, LeastWork, Options{})
-	base, err := RunOnline(cfg, 3, p, reqs)
+	base, err := RunOnlineWorkers(cfg, 3, p, reqs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, plan := range []*faults.Plan{nil, {Config: faults.Config{Seed: 9}, Replicas: 3}} {
-		got, err := RunOnlineFaults(cfg, 3, mustPolicy(t, LeastWork, Options{}), reqs, plan)
+		got, err := RunOnlineLayers(cfg, 3, mustPolicy(t, LeastWork, Options{}), reqs, plan, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +47,7 @@ func TestRunOnlineFaultsConservation(t *testing.T) {
 	cfg := fastConfig(2)
 	const replicas = 3
 	reqs := faultTrace(120, 7)
-	base, err := RunOnline(cfg, replicas, mustPolicy(t, LeastWork, Options{}), reqs)
+	base, err := RunOnlineWorkers(cfg, replicas, mustPolicy(t, LeastWork, Options{}), reqs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestRunOnlineFaultsConservation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := RunOnlineFaults(cfg, replicas, mustPolicy(t, LeastWork, Options{}), reqs, plan)
+			res, err := RunOnlineLayers(cfg, replicas, mustPolicy(t, LeastWork, Options{}), reqs, plan, nil, 1)
 			if err != nil {
 				t.Fatalf("seed %d ckpt %v: %v", seed, ckpt, err)
 			}
@@ -104,7 +104,7 @@ func TestRunOnlineFaultsDeterministic(t *testing.T) {
 	}
 	var prev []byte
 	for run := 0; run < 3; run++ {
-		res, err := RunOnlineFaults(cfg, replicas, mustPolicy(t, LeastWork, Options{}), reqs, plan)
+		res, err := RunOnlineLayers(cfg, replicas, mustPolicy(t, LeastWork, Options{}), reqs, plan, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +128,7 @@ func TestRunOnlineFaultsStragglers(t *testing.T) {
 	cfg := fastConfig(2)
 	const replicas = 3
 	reqs := faultTrace(100, 13)
-	base, err := RunOnline(cfg, replicas, mustPolicy(t, LeastWork, Options{}), reqs)
+	base, err := RunOnlineWorkers(cfg, replicas, mustPolicy(t, LeastWork, Options{}), reqs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestRunOnlineFaultsStragglers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunOnlineFaults(cfg, replicas, mustPolicy(t, LeastWork, Options{}), reqs, plan)
+	res, err := RunOnlineLayers(cfg, replicas, mustPolicy(t, LeastWork, Options{}), reqs, plan, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestPlanFleetMismatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	online := func(plan *faults.Plan) error {
-		_, err := RunOnlineFaults(cfg, 2, mustPolicy(t, LeastWork, Options{}), reqs, plan)
+		_, err := RunOnlineLayers(cfg, 2, mustPolicy(t, LeastWork, Options{}), reqs, plan, nil, 1)
 		return err
 	}
 	disagg := func(plan *faults.Plan) error {

@@ -8,8 +8,9 @@
 //
 // Dispatch is pluggable: a Policy picks a replica per request
 // (round-robin, seeded random, least known work, or predicted-cost
-// using the paper's output-length classifier), and policies are
-// registered by name so binaries can select them via a flag.
+// using the paper's output-length classifier), and the built-in
+// policies are looked up by name so binaries can select them via a
+// flag.
 package fleet
 
 import (
@@ -164,20 +165,9 @@ func (r *Result) CheckConservation(n int) error {
 	if len(r.Shards) != len(r.Replicas) {
 		return fmt.Errorf("fleet: %d shards but %d replica results", len(r.Shards), len(r.Replicas))
 	}
-	seen := make([]int, n)
-	for i, sh := range r.Shards {
-		if len(sh.Reqs) != len(sh.Origin) {
-			return fmt.Errorf("fleet: replica %d has %d requests but %d origins", i, len(sh.Reqs), len(sh.Origin))
-		}
-		if got := r.Replicas[i].Report.Requests; got != len(sh.Reqs) {
-			return fmt.Errorf("fleet: replica %d completed %d of %d requests", i, got, len(sh.Reqs))
-		}
-		for _, o := range sh.Origin {
-			if o < 0 || o >= n {
-				return fmt.Errorf("fleet: replica %d has origin %d outside trace of %d", i, o, n)
-			}
-			seen[o]++
-		}
+	seen, err := checkShards("", r.Shards, r.Replicas, n)
+	if err != nil {
+		return err
 	}
 	for idx, c := range seen {
 		if c != 1 {

@@ -84,7 +84,7 @@ func goldenCases(t *testing.T) []goldenCase {
 	onlineFaulted := func(name string, fc faults.Config) goldenCase {
 		plan := goldenPlan(t, fc, 4)
 		return goldenCase{name, func(t *testing.T, workers int) []byte {
-			res, err := RunOnlineFaultsWorkers(cfg, 4, mustPolicy(t, LeastWork, Options{}), crashy, plan, workers)
+			res, err := RunOnlineLayers(cfg, 4, mustPolicy(t, LeastWork, Options{}), crashy, plan, nil, workers)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -39,15 +38,6 @@ func validateArrivals(reqs []workload.Request) error {
 	return nil
 }
 
-// checkPlan rejects an active plan whose fleet size differs from the
-// fleet's.
-func checkPlan(plan *faults.Plan, replicas int) error {
-	if plan != nil && plan.Replicas != replicas {
-		return fmt.Errorf("%w: plan covers %d replicas, fleet has %d", ErrPlanFleetMismatch, plan.Replicas, replicas)
-	}
-	return nil
-}
-
 // replicaConfig specializes the fleet config for replica i under a
 // fault plan: stragglers get their slowdown factor, and the checkpoint
 // cadence is switched on fleet-wide.
@@ -64,29 +54,25 @@ func replicaConfig(cfg core.Config, plan *faults.Plan, i int) core.Config {
 	return cfg
 }
 
-// RunOnline serves an arrival-stamped trace as an online router: every
-// replica engine runs on ONE shared virtual clock, and each request is
-// routed at its arrival instant. Unlike the offline pre-shard
-// (Dispatch), policies see the arrival order and a live load snapshot —
-// the work each replica still has outstanding at that moment, not the
-// whole-trace totals — through the same Policy interface and registry.
+// RunOnlineWorkers serves an arrival-stamped trace as an online router
+// with no fault or policy layer (see RunOnlineLayers): every replica
+// engine runs on ONE shared virtual clock, and each request is routed
+// at its arrival instant. Unlike the offline pre-shard (Dispatch),
+// policies see the arrival order and a live load snapshot — the work
+// each replica still has outstanding at that moment, not the
+// whole-trace totals — through the same Policy interface.
 // The snapshot is maintained incrementally: submissions add to
 // per-replica counters and each engine's finish hook subtracts, so
 // routing one arrival costs O(replicas) instead of rescanning every
 // outstanding request.
 //
-// The co-simulation is deterministic for a fixed trace, config and
-// policy seed, independent of the worker count. Use Run for
-// closed-loop (all-at-t=0) traces, where the pre-shard is equivalent
-// and replicas can simulate in parallel.
-func RunOnline(cfg core.Config, replicas int, p Policy, reqs []workload.Request) (*Result, error) {
-	return RunOnlineWorkers(cfg, replicas, p, reqs, 1)
-}
-
-// RunOnlineWorkers is RunOnline with an explicit worker budget for the
-// conservative parallel fabric: 0 or 1 runs sequentially, WorkersAuto
-// picks GOMAXPROCS for fleets of at least AutoWorkerThreshold
-// replicas. Reports are byte-identical across worker counts.
+// workers budgets the conservative parallel fabric: 0 or 1 runs
+// sequentially, WorkersAuto picks GOMAXPROCS for fleets of at least
+// AutoWorkerThreshold replicas. The co-simulation is deterministic for
+// a fixed trace, config and policy seed, and reports are byte-identical
+// across worker counts. Use Run for closed-loop (all-at-t=0) traces,
+// where the pre-shard is equivalent and replicas can simulate in
+// parallel.
 func RunOnlineWorkers(cfg core.Config, replicas int, p Policy, reqs []workload.Request, workers int) (*Result, error) {
 	return RunOnlineLayers(cfg, replicas, p, reqs, nil, nil, workers)
 }
@@ -94,46 +80,49 @@ func RunOnlineWorkers(cfg core.Config, replicas int, p Policy, reqs []workload.R
 // router is the online router: one replica pool on the fabric, with an
 // optional fault layer (plan: crash, restore and checkpoint-resume
 // events, faults.go) and an optional policy layer (stack: admission,
-// retry, breakers, preemption and the autoscaler tick, elastic.go). An
+// retry, breakers, preemption and the autoscaler, elastic.go). An
 // absent layer schedules no events and adds no routing filter. Every
 // intervention executes on the control timeline; only the engines'
 // finish hooks run on shard goroutines, and those touch replica- and
 // request-indexed slots exclusively.
 type router struct {
-	book
-	ledger
-	// faultLayer's plan is nil without a fault layer; its ctl is the
-	// control timeline.
-	faultLayer
+	control
+	*book
 	// items holds checkpoint restores in flight (KV reloading from
 	// stable storage before re-import).
 	items []pendingRec
 
 	// stack is nil without a policy layer.
 	stack *policy.Stack
-	// pool owns the replica lifecycle and GPU-second accounting; nil
-	// when no autoscaler is attached (the fleet stays static).
-	pool *elasticPool
 	// winTTFT[i] collects replica i's completion TTFTs since the last
 	// autoscale tick (shard-written, coordinator-drained).
 	winTTFT [][]float64
 	ttftSLO float64
-	astats  metrics.AdmissionStats
 }
 
 // RunOnlineLayers serves reqs on replicas engines of cfg under dispatch
-// policy p with an optional fault layer (plan, see RunOnlineFaults) and
-// an optional policy layer (stack, see RunOnlineElastic), on workers
-// simulation workers (see RunOnlineWorkers). A nil or inactive plan or
-// stack is an absent layer. The two compose: admission retries and
-// crash recoveries spend separate budgets, a crash-lost request never
-// passes the front door again, and each drop is counted once, in
-// Report.Faults when a crash had lost the request and in
-// Report.Admission otherwise.
+// policy p on workers simulation workers (see RunOnlineWorkers), with
+// an optional fault layer and an optional policy layer. A nil or
+// inactive plan or stack is an absent layer, and a run without layers
+// is byte-identical to RunOnlineWorkers.
+//
+// The fault layer executes plan's crashes: a crash aborts the replica's
+// in-flight requests, which resume from their latest KV checkpoint or
+// are re-dispatched for recompute under the plan's retry budget. An
+// active plan must be drawn for exactly replicas replicas
+// (ErrPlanFleetMismatch otherwise).
+//
+// The policy layer puts stack in front of the replicas: token-bucket
+// admission, backoff retries, breakers, priority preemption and the
+// autoscaler. replicas is the provisioned fleet the autoscaler may grow
+// into and must cover its Max. An autoscaler whose ColdStart is zero
+// gets the modeled weight-load time of one replica.
+//
+// The two compose: admission retries and crash recoveries spend
+// separate budgets, a crash-lost request never passes the front door
+// again, and each drop is counted once, in Report.Faults when a crash
+// had lost the request and in Report.Admission otherwise.
 func RunOnlineLayers(cfg core.Config, replicas int, p Policy, reqs []workload.Request, plan *faults.Plan, stack *policy.Stack, workers int) (*Result, error) {
-	if !plan.Active() {
-		plan = nil
-	}
 	if !stack.Active() {
 		stack = nil
 	}
@@ -143,65 +132,26 @@ func RunOnlineLayers(cfg core.Config, replicas int, p Policy, reqs []workload.Re
 	if p == nil {
 		return nil, fmt.Errorf("fleet: nil policy")
 	}
-	if err := validateArrivals(reqs); err != nil {
-		return nil, err
-	}
-	if err := checkPlan(plan, replicas); err != nil {
-		return nil, err
-	}
-	ro := &router{ledger: newLedger(reqs), stack: stack, ttftSLO: cfg.SLO.TTFT}
-	var breakers *policy.BreakerConfig
+	ro := &router{stack: stack, ttftSLO: cfg.SLO.TTFT}
 	if stack != nil {
-		if as := stack.Autoscaler; as != nil {
-			if m := as.Config().Max; m > replicas {
-				return nil, fmt.Errorf("fleet: autoscaler Max %d exceeds provisioned replicas %d", m, replicas)
-			}
-			ro.pool = newElasticPool(cfg, as, replicas)
-			if tt := as.Config().TTFTTarget; tt > 0 {
-				ro.ttftSLO = tt
-			}
+		if as := stack.Autoscaler; as != nil && as.Config().TTFTTarget > 0 {
+			ro.ttftSLO = as.Config().TTFTTarget
 		}
 		ro.winTTFT = make([][]float64, replicas)
-		breakers = stack.Breaker
 	}
-	fab := newFabric(ResolveWorkers(workers, replicas))
-	fab.addTier(0, replicas)
-	ro.faultLayer = newFaultLayer(cfg, plan, ro, &ro.ledger, fab.ctl)
-	engines, err := startEngines(fab, replicas, func(i int) core.Config { return replicaConfig(cfg, plan, i) })
-	if err != nil {
+	if err := ro.build(ro, cfg, reqs, plan, stack, workers, poolSpec{replicas, p}); err != nil {
 		return nil, err
 	}
-	ro.book = newBook(p, engines, breakers)
-	for i := range engines {
+	ro.book = ro.books[0]
+	for i, e := range ro.engines {
 		i := i
-		engines[i].SetOnFinish(func(local int) { ro.finished(i, local) })
+		e.SetOnFinish(func(local int) { ro.finished(i, local) })
 	}
-	// One control event per request at its arrival instant, scheduled
-	// in (arrival, trace index) order so simultaneous arrivals route in
-	// trace order. AtFunc carries the trace index, so arrivals cost no
-	// closure.
-	for _, idx := range workload.SortByArrival(reqs) {
-		fab.ctl.AtFunc(sim.Time(reqs[idx].ArrivalTime), admitEvent, ro, idx, 0)
-	}
-	ro.scheduleFaults()
-	if ro.pool != nil {
-		fab.ctl.AtFunc(ro.pool.tickInterval(), tickEvent, ro, 0, 0)
-	}
-	fab.start()
-	defer fab.stopWorkers()
-	fab.run()
-	if ro.err == nil {
-		ro.dropWaiting()
-	}
-	results, err := finalize(engines, ro.err)
+	results, err := ro.run()
 	if err != nil {
 		return nil, err
 	}
-	res, err := ro.result(cfg, results)
-	if err == nil {
-		res.Steps = fab.Steps()
-	}
-	return res, err
+	return ro.result(cfg, results)
 }
 
 // dispatch routes one request to a live, routable replica: fresh
@@ -213,7 +163,7 @@ func RunOnlineLayers(cfg core.Config, replicas int, p Policy, reqs []workload.Re
 func (ro *router) dispatch(pr pendingRec) {
 	r := ro.reqs[pr.origin]
 	now := float64(ro.ctl.Now())
-	k, err := ro.route(r, now, ro.pool, !pr.fresh, &ro.astats.BreakerSkips)
+	k, err := ro.route(r, nil, now, !pr.fresh, &ro.astats.BreakerSkips)
 	switch {
 	case err != nil:
 		ro.err = err
@@ -254,9 +204,6 @@ func (ro *router) dispatch(pr pendingRec) {
 	ro.land(pr.origin, k, local)
 }
 
-// bookOf maps a fleet replica to the router's single pool.
-func (ro *router) bookOf(replica int) (*book, int) { return &ro.book, replica }
-
 // resume waits for a checkpoint's reload; resumeEvent places it.
 func (ro *router) resume(origin int, l core.Lost, _ float64, done sim.Time) {
 	ro.items = append(ro.items, pendingRec{origin: origin, lost: l})
@@ -265,6 +212,13 @@ func (ro *router) resume(origin int, l core.Lost, _ float64, done sim.Time) {
 
 // restored has nothing to add to the fault layer's re-dispatch.
 func (ro *router) restored(*book) {}
+
+// activated dispatches the crash-lost requests that found no live
+// replica to the replica that just joined routing.
+func (ro *router) activated() { ro.dispatchWaiting() }
+
+// drained has nothing to settle: only waiting requests remain.
+func (ro *router) drained() {}
 
 // resumeEvent places a reloaded checkpoint on a live, routable replica
 // that can receive and hold its KV — a replica inside a network domain
@@ -282,25 +236,7 @@ func resumeEvent(ctx any, item, _ int) {
 	}
 	ck := it.lost.Ckpt
 	r := ro.reqs[it.origin]
-	now := float64(ro.ctl.Now())
-	offer := func(gate bool) (skips int) {
-		for i, e := range ro.engines {
-			switch {
-			case !e.Alive() || !ro.pool.routable(i) || !e.CanImportKV(ck.KV) || ro.plan.PartitionedAt(i, now):
-			case gate && ro.tripped(i, now):
-				skips++
-			default:
-				ro.offer(i, e.ResidentKVTokens(ck.KV))
-			}
-		}
-		return skips
-	}
-	if skips := offer(true); skips > 0 && len(ro.candScratch) == 0 {
-		offer(false)
-	} else {
-		ro.astats.BreakerSkips += skips
-	}
-	k, err := ro.pick(r, now)
+	k, err := ro.route(r, &ck.KV, float64(ro.ctl.Now()), true, &ro.astats.BreakerSkips)
 	if err != nil {
 		ro.err = err
 		return
@@ -343,7 +279,7 @@ func (ro *router) result(cfg core.Config, results []*core.Result) (*Result, erro
 	case ro.stack != nil:
 		mode = "FleetElastic"
 	}
-	res := &Result{Replicas: results, Shards: ro.shards, Policy: ro.policy.Name()}
+	res := &Result{Replicas: results, Shards: ro.shards, Policy: ro.policy.Name(), Steps: ro.fab.Steps()}
 	if ro.plan == nil && ro.stack == nil {
 		// Without layers nothing is re-dispatched or dropped, so each
 		// replica must have completed exactly its shard.
@@ -351,27 +287,19 @@ func (ro *router) result(cfg core.Config, results []*core.Result) (*Result, erro
 			return nil, err
 		}
 	}
-	rep, records, err := ro.assemble(cfg, fmt.Sprintf("%s(TD-Pipe/%s)x%d", mode, ro.policy.Name(), len(results)), results)
+	// Each drop is counted once: with both layers on, a request a crash
+	// had lost is the fault layer's drop, any other the policy layer's.
+	admitDrops := 0
+	if ro.stack != nil {
+		admitDrops = ro.dropped
+		if ro.plan != nil {
+			admitDrops -= ro.lostDrops
+		}
+	}
+	var err error
+	res.Report, res.Records, err = ro.report(cfg, fmt.Sprintf("%s(TD-Pipe/%s)x%d", mode, ro.policy.Name(), len(results)), results, admitDrops)
 	if err != nil {
 		return nil, err
 	}
-	// Each drop is counted once: with both layers on, a request a crash
-	// had lost is the fault layer's drop, any other the policy layer's.
-	faultDrops, admitDrops := ro.dropped, ro.dropped
-	if ro.plan != nil && ro.stack != nil {
-		faultDrops, admitDrops = ro.lostDrops, ro.dropped-ro.lostDrops
-	}
-	if ro.plan != nil {
-		rep.Faults.Add(ro.faultStats(faultDrops))
-	}
-	if ro.stack != nil {
-		if ro.pool != nil {
-			rep.Autoscale = ro.pool.finish(rep.Elapsed, cfg.World)
-		}
-		ro.astats.Dropped = admitDrops
-		ro.astats.BreakerTrips = ro.trips()
-		rep.Admission = ro.astats
-	}
-	res.Report, res.Records = rep, records
 	return res, nil
 }

@@ -22,7 +22,7 @@ func TestRunOnlineConservation(t *testing.T) {
 	}
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
-			res, err := RunOnline(fastConfig(2), 4, mustPolicy(t, name, Options{Seed: 9}), reqs)
+			res, err := RunOnlineWorkers(fastConfig(2), 4, mustPolicy(t, name, Options{Seed: 9}), reqs, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,11 +66,11 @@ func TestRunOnlineDeterministic(t *testing.T) {
 	reqs := onlineTrace(200, 6, 30)
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
-			a, err := RunOnline(fastConfig(2), 3, mustPolicy(t, name, Options{Seed: 3}), reqs)
+			a, err := RunOnlineWorkers(fastConfig(2), 3, mustPolicy(t, name, Options{Seed: 3}), reqs, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := RunOnline(fastConfig(2), 3, mustPolicy(t, name, Options{Seed: 3}), reqs)
+			b, err := RunOnlineWorkers(fastConfig(2), 3, mustPolicy(t, name, Options{Seed: 3}), reqs, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,7 +90,7 @@ func TestRunOnlineDeterministic(t *testing.T) {
 // replica may sit unused while another queues the whole trace.
 func TestRunOnlineSpreadsLoad(t *testing.T) {
 	reqs := onlineTrace(400, 8, 60)
-	res, err := RunOnline(fastConfig(2), 4, mustPolicy(t, LeastWork, Options{}), reqs)
+	res, err := RunOnlineWorkers(fastConfig(2), 4, mustPolicy(t, LeastWork, Options{}), reqs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,13 +105,13 @@ func TestRunOnlineSpreadsLoad(t *testing.T) {
 // co-simulation.
 func TestRunOnlineRejectsBadArgs(t *testing.T) {
 	reqs := onlineTrace(10, 1, 10)
-	if _, err := RunOnline(fastConfig(2), 0, mustPolicy(t, RoundRobin, Options{}), reqs); err == nil {
+	if _, err := RunOnlineWorkers(fastConfig(2), 0, mustPolicy(t, RoundRobin, Options{}), reqs, 1); err == nil {
 		t.Error("replicas=0 accepted")
 	}
-	if _, err := RunOnline(fastConfig(2), 2, nil, reqs); err == nil {
+	if _, err := RunOnlineWorkers(fastConfig(2), 2, nil, reqs, 1); err == nil {
 		t.Error("nil policy accepted")
 	}
-	if _, err := RunOnline(fastConfig(2), 2, outOfRange{}, reqs); err == nil {
+	if _, err := RunOnlineWorkers(fastConfig(2), 2, outOfRange{}, reqs, 1); err == nil {
 		t.Error("out-of-range pick accepted")
 	}
 }

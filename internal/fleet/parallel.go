@@ -62,13 +62,7 @@ func ResolveWorkers(workers, replicas int) int {
 		}
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > replicas {
-		workers = replicas
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
+	return max(min(workers, replicas), 1)
 }
 
 // handoffNote is one cross-shard notification buffered by a shard
@@ -158,10 +152,7 @@ type fabCmd struct {
 // newFabric builds a fabric with the given worker budget. Tiers are
 // added before any engines are constructed.
 func newFabric(workers int) *fabric {
-	if workers < 1 {
-		workers = 1
-	}
-	return &fabric{ctl: sim.NewEngine(), workers: workers}
+	return &fabric{ctl: sim.NewEngine(), workers: max(workers, 1)}
 }
 
 // addTier creates the shards for one tier and assigns the next
@@ -169,13 +160,7 @@ func newFabric(workers int) *fabric {
 // event streams are independent of co-tenancy, so any grouping yields
 // identical per-replica results; contiguous blocks keep cache locality.
 func (f *fabric) addTier(tier, replicas int) {
-	n := f.workers
-	if n > replicas {
-		n = replicas
-	}
-	if n < 1 {
-		n = 1
-	}
+	n := max(min(f.workers, replicas), 1)
 	shards := make([]*fabShard, n)
 	for s := range shards {
 		shards[s] = &fabShard{eng: sim.NewEngine(), tier: tier}

@@ -99,7 +99,7 @@ func TestParallelOnlineFaultsByteIdenticalToSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(workers int) []byte {
-		res, err := RunOnlineFaultsWorkers(cfg, replicas, mustPolicy(t, LeastWork, Options{}), reqs, plan, workers)
+		res, err := RunOnlineLayers(cfg, replicas, mustPolicy(t, LeastWork, Options{}), reqs, plan, nil, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -177,7 +177,7 @@ func TestParallelCrossShardBoundaryProperty(t *testing.T) {
 			},
 		}
 		online := func(workers int) []byte {
-			res, err := RunOnlineFaultsWorkers(cfg, 6, mustPolicy(t, LeastWork, Options{}), reqs, plan, workers)
+			res, err := RunOnlineLayers(cfg, 6, mustPolicy(t, LeastWork, Options{}), reqs, plan, nil, workers)
 			if err != nil {
 				t.Fatalf("seed %d workers=%d: %v", seed, workers, err)
 			}
@@ -224,11 +224,11 @@ func TestInvalidArrivalsRejectedByAllRouters(t *testing.T) {
 		run  func(reqs []workload.Request) error
 	}{
 		{"RunOnline", func(reqs []workload.Request) error {
-			_, err := RunOnline(cfg, 2, mustPolicy(t, RoundRobin, Options{}), reqs)
+			_, err := RunOnlineWorkers(cfg, 2, mustPolicy(t, RoundRobin, Options{}), reqs, 1)
 			return err
 		}},
 		{"RunOnlineFaults", func(reqs []workload.Request) error {
-			_, err := RunOnlineFaults(cfg, 2, mustPolicy(t, RoundRobin, Options{}), reqs, plan)
+			_, err := RunOnlineLayers(cfg, 2, mustPolicy(t, RoundRobin, Options{}), reqs, plan, nil, 1)
 			return err
 		}},
 		{"RunDisagg", func(reqs []workload.Request) error {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/workload"
@@ -41,7 +40,7 @@ type Load struct {
 // Policies must not read Request.OutputLen — like the engine, they only
 // see observable features and the predictor's estimate.
 type Policy interface {
-	// Name returns the registry name of the policy.
+	// Name returns the policy's name, as New and Names know it.
 	Name() string
 	// Pick returns the index in loads of the replica that receives r.
 	Pick(r workload.Request, loads []Load) int
@@ -59,42 +58,19 @@ type Options struct {
 	Predictor core.LenPredictor
 }
 
-// Factory builds a fresh policy instance from options.
-type Factory func(Options) Policy
-
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Factory{}
-)
-
-// Register makes a policy constructable by name. It panics on a
-// duplicate name so wiring mistakes fail at init time.
-func Register(name string, f Factory) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("fleet: duplicate policy %q", name))
-	}
-	registry[name] = f
-}
-
-// New builds a registered policy by name.
+// New builds a built-in policy by name.
 func New(name string, opts Options) (Policy, error) {
-	regMu.RLock()
-	f, ok := registry[name]
-	regMu.RUnlock()
+	f, ok := builtins[name]
 	if !ok {
 		return nil, fmt.Errorf("fleet: unknown policy %q (have %v)", name, Names())
 	}
 	return f(opts), nil
 }
 
-// Names lists the registered policies, sorted.
+// Names lists the built-in policies, sorted.
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for name := range registry {
+	out := make([]string, 0, len(builtins))
+	for name := range builtins {
 		out = append(out, name)
 	}
 	sort.Strings(out)
@@ -126,27 +102,24 @@ const (
 	DecodeAffinity = "decode-affinity"
 )
 
-func init() {
-	Register(RoundRobin, func(Options) Policy { return &roundRobin{} })
-	Register(Random, func(o Options) Policy {
+// builtins constructs a fresh instance of each built-in policy.
+var builtins = map[string]func(Options) Policy{
+	RoundRobin: func(Options) Policy { return &roundRobin{} },
+	Random: func(o Options) Policy {
 		return &random{rng: rand.New(rand.NewSource(o.Seed))}
-	})
-	Register(LeastWork, func(Options) Policy { return leastWork{} })
-	Register(PredictedCost, func(o Options) Policy {
-		p := o.Predictor
-		if p == nil {
-			p = core.OraclePredictor{}
-		}
-		return &predictedCost{pred: p}
-	})
-	Register(PrefixAffinity, func(Options) Policy { return prefixAffinity{} })
-	Register(DecodeAffinity, func(o Options) Policy {
-		p := o.Predictor
-		if p == nil {
-			p = core.OraclePredictor{}
-		}
-		return &decodeAffinity{pred: p}
-	})
+	},
+	LeastWork:      func(Options) Policy { return leastWork{} },
+	PredictedCost:  func(o Options) Policy { return &predictedCost{pred: predictorOf(o)} },
+	PrefixAffinity: func(Options) Policy { return prefixAffinity{} },
+	DecodeAffinity: func(o Options) Policy { return &decodeAffinity{pred: predictorOf(o)} },
+}
+
+// predictorOf is o's output-length predictor, the oracle when unset.
+func predictorOf(o Options) core.LenPredictor {
+	if o.Predictor == nil {
+		return core.OraclePredictor{}
+	}
+	return o.Predictor
 }
 
 type roundRobin struct{ next int }

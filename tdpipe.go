@@ -167,10 +167,10 @@ const (
 // fleet.AutoWorkerThreshold replicas, sequential below that.
 const FleetWorkersAuto = fleet.WorkersAuto
 
-// FleetPolicies lists the registered dispatch policies.
+// FleetPolicies lists the built-in dispatch policies.
 func FleetPolicies() []string { return fleet.Names() }
 
-// NewFleetPolicy builds a registered dispatch policy by name.
+// NewFleetPolicy builds a built-in dispatch policy by name.
 func NewFleetPolicy(name string, opts FleetOptions) (FleetPolicy, error) {
 	return fleet.New(name, opts)
 }
